@@ -102,12 +102,12 @@ def _default_lock_order() -> list[LockName]:
     # for non-reentrant locks) one is a lock-order violation.  The
     # table encodes the serving path's intended hierarchy:
     #   rwlock (query/mutation exclusion)
-    #     → executor state lock
-    #       → leaf locks (breaker, registries, caches, sinks)
+    #     → executor state lock (ClusterExecutor inherits both)
+    #       → shard handle lock
+    #         → leaf locks (breaker, registries, caches, sinks)
     return [
         ("QueryExecutor", "_rwlock"),
         ("QueryExecutor", "_state_lock"),
-        ("ClusterExecutor", "_state_lock"),
         ("_ShardHandle", "_lock"),
         ("SegmentedIndex", "_lock"),
         ("CircuitBreaker", "_lock"),
@@ -303,14 +303,16 @@ class AnalysisConfig:
     # -- deadline discipline -------------------------------------------------
     #: Serving-path entry points: ``Class.method`` / function symbols
     #: from which every transitively reachable blocking call must carry
-    #: a timeout.
+    #: a timeout.  ``ClusterExecutor`` inherits the core's lifecycle;
+    #: its own entry points are the refused ``apply`` and the sharded
+    #: execution step the core's workers call.
     deadline_entrypoints: tuple[str, ...] = (
         "QueryExecutor.submit",
         "QueryExecutor.ask",
         "QueryExecutor.apply",
-        "ClusterExecutor.submit",
-        "ClusterExecutor.ask",
+        "QueryExecutor._execute_batch",
         "ClusterExecutor.apply",
+        "ClusterExecutor._run_join",
         "_Handler.do_GET",
         "_Handler.do_POST",
         "_Handler.do_DELETE",

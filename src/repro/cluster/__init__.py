@@ -19,13 +19,13 @@ coordinator in front (see ``docs/SERVING.md``):
   are consumed through a max-heap threshold, stopping as soon as no
   unpulled entry can reach the global top-k (the pulls it never makes
   are the ``merge_pulls_saved`` metric);
-* :mod:`.coordinator` — :class:`ClusterExecutor`, API-compatible with
-  :class:`~repro.service.QueryExecutor` (``submit``/``ask``/``health``/
-  ``shutdown``): scatters each query to every live shard, gathers the
-  shard-local k-best lists, threshold-merges, caches, and answers —
-  degrading to a *partial* answer from the surviving shards when a
-  shard dies or its circuit breaker is open, while a watchdog respawns
-  dead shard processes.
+* :mod:`.coordinator` — :class:`ClusterExecutor`, the serving core
+  (:class:`~repro.service.QueryExecutor`) with the sharded execution
+  step: it scatters each batch to every live shard, gathers the
+  shard-local k-best lists and threshold-merges them — degrading to a
+  *partial* answer from the surviving shards when a shard dies or its
+  circuit breaker is open, while the core's watchdog respawns dead
+  shard processes.
 
 Exact (non-partial) answers are byte-identical to single-process
 :meth:`SearchSystem.ask ` on the same corpus: document-hash sharding

@@ -1,39 +1,37 @@
-"""The cluster coordinator: scatter, gather, threshold-merge, survive.
+"""Sharded serving: the cluster's execution step on the serving core.
 
-:class:`ClusterExecutor` is the multi-process counterpart of
-:class:`~repro.service.QueryExecutor` — same client API (``submit`` /
-``ask`` / ``health`` / ``shutdown`` / context manager), same
-:class:`~repro.service.QueryResponse`, same admission control and
-deadline semantics — but behind it sit N shard worker *processes*
+:class:`ClusterExecutor` is :class:`~repro.service.QueryExecutor` — the
+same request lifecycle (admission, bounded queue, worker pool and
+watchdog, micro-batching, deadline degradation, the generation-keyed
+result cache, the ``request`` and slow-query logs, health, drain) —
+with a different execution step behind it: N shard worker *processes*
 (:mod:`repro.cluster.worker`), each owning a document-hash partition of
 the corpus (:mod:`repro.cluster.sharding`).  Joins run in the workers,
 so join throughput scales with cores instead of saturating one GIL.
 
-One request's life:
+The sharded step turns an admitted group of requests into rankings:
 
-1. ``submit`` validates, opens the ``queue`` span, and enqueues
-   (bounded queue — overload raises
-   :class:`~repro.service.QueryRejected` immediately).
-2. A coordinator thread dequeues it, checks the deadline, and consults
-   the result cache (exact answers only, keyed on generation).
-3. **Scatter**: the query goes to every live shard whose circuit
-   breaker admits it — one serial I/O thread per shard owns that
-   shard's pipe, so N in-flight shard RPCs progress concurrently while
-   the coordinator thread waits.
-4. **Gather + merge**: shard-local k-best lists come back sorted by the
+1. **Scatter**: every request of the group goes to every live shard
+   whose circuit breaker admits it (one ``query`` message per request
+   per shard) before any reply is awaited.  One serial I/O thread per
+   shard owns that shard's pipe, so the shards work concurrently while
+   the core's worker waits.
+2. **Gather + merge**: shard-local k-best lists come back sorted by the
    global ``(-score, doc_id)`` key and are threshold-merged
    (:func:`repro.cluster.merge.threshold_merge`); entries the threshold
    proves irrelevant are never pulled (``merge_pulls_saved``).
-5. Shard failures (dead worker, transport loss, per-shard timeout, open
+3. Shard failures (dead worker, transport loss, per-shard timeout, open
    breaker) degrade the answer instead of failing it: the merge runs
-   over the surviving shards and the response is tagged *partial*
+   over the surviving shards and the response is *partial*
    (``degraded=True``, ``shards_failed > 0``, ``outcome=degraded`` in
-   the trace and the ``request`` log event).  Only when *every* shard
-   fails does the request fail (:class:`ShardsUnavailable`).
-6. A watchdog sweeps for dead shard processes and respawns them from
-   the coordinator's copy of the partition (``shard_respawns`` metric,
-   ``shard.respawn`` log event); a respawned shard serves again as soon
-   as its breaker closes.
+   the trace and the ``request`` log event) and never cached.  Only
+   when *every* shard fails does the request fail
+   (:class:`ShardsUnavailable`).
+
+The core's watchdog sweep also respawns dead shard processes from the
+coordinator's copy of the partition (``shard_respawns`` metric,
+``shard.respawn`` log event); a respawned shard serves again as soon as
+its breaker closes.
 
 Exact (non-partial) responses are byte-identical to single-process
 ``SearchSystem.ask`` over the same corpus — see :mod:`repro.cluster.merge`
@@ -45,12 +43,13 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import pathlib
 import queue
 import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.cluster.merge import threshold_merge
@@ -58,18 +57,11 @@ from repro.cluster.sharding import partition_documents
 from repro.cluster.worker import CLIENT_ERRORS, shard_worker_main
 from repro.matching.queries import QuerySyntaxError
 from repro.obs.log import StructuredLogger
-from repro.obs.trace import NULL_TRACE, Span, Tracer, current_trace
+from repro.obs.trace import NULL_TRACE, Span, Tracer
 from repro.reliability.breaker import CircuitBreaker
-from repro.reliability.watchdog import Watchdog
 from repro.retrieval.ranking import RankedDocument
-from repro.service.cache import ResultCache, make_key
-from repro.service.executor import (
-    SCORING_PRESETS,
-    DeadlineExceeded,
-    QueryRejected,
-    QueryResponse,
-    ShutdownDrained,
-)
+from repro.service.cache import ResultCache
+from repro.service.executor import QueryExecutor, _Request
 from repro.service.metrics import ServiceMetrics
 from repro.system import SearchSystem
 
@@ -94,7 +86,6 @@ class ClusterMutationError(RuntimeError):
 
 
 _STOP: Any = object()
-_SENTINEL: Any = object()
 
 
 @dataclass(slots=True)
@@ -111,30 +102,6 @@ class _ShardCall:
     span: Span | Any
     deadline: float | None
     trace: Any = None
-
-
-@dataclass(slots=True)
-class _ClusterRequest:
-    query_text: str
-    top_k: int
-    scoring_name: str
-    timeout_s: float | None
-    deadline: float | None
-    submitted_at: float
-    future: Future = field(default_factory=Future)
-    trace: Any = NULL_TRACE
-    owns_trace: bool = False
-    queue_span: Span | None = None
-    exec_started_at: float | None = None
-    join_s: float | None = None
-    # EXPLAIN request: bypass the result cache and attach a plan report.
-    explain: bool = False
-
-    @property
-    def queue_wait_s(self) -> float:
-        if self.exec_started_at is None:
-            return 0.0
-        return max(0.0, self.exec_started_at - self.submitted_at)
 
 
 def _client_error(name: str, message: str) -> BaseException:
@@ -409,14 +376,17 @@ class _ShardHandle:
             call.future.set_exception(exc)
 
 
-class ClusterExecutor:
-    """Scatter-gather serving over N shard worker processes.
+class ClusterExecutor(QueryExecutor):
+    """The serving core with the sharded execution step.
 
-    API-compatible with :class:`~repro.service.QueryExecutor` for
-    everything the serving stack uses (``submit``/``ask``/``apply``/
-    ``health``/``shutdown``, ``metrics``/``cache``/``tracer``/
-    ``system`` attributes), so :class:`~repro.service.SearchServer`
-    and the CLI's ``serve --shards N`` drop it in unchanged.
+    Submission, batching, deadlines, the result cache, logs, health and
+    drain are :class:`~repro.service.QueryExecutor`'s, so
+    :class:`~repro.service.SearchServer` and the CLI's
+    ``serve --shards N`` drop it in unchanged.  This class adds only the
+    shard processes: their spawn and shutdown, :meth:`_run_join`
+    (scatter, gather, threshold merge), :meth:`shard_health`,
+    :meth:`check_shards`, :meth:`snapshot_shards`, and the refusal of
+    :meth:`apply`.
 
     Parameters
     ----------
@@ -427,9 +397,9 @@ class ClusterExecutor:
     shards:
         Worker process count (``>= 1``).
     coordinators:
-        Coordinator threads (each serves one request at a time; the
-        per-shard I/O threads give a single request its scatter
-        parallelism, coordinators give concurrent requests pipelining).
+        The core's worker threads.  Each runs one batch at a time; the
+        per-shard I/O threads give a batch its scatter parallelism,
+        coordinators give concurrent batches pipelining.
     queue_size / cache_size / default_timeout / tracer / logger /
     slow_query_ms:
         As on :class:`~repro.service.QueryExecutor`.
@@ -440,15 +410,19 @@ class ClusterExecutor:
         Per-shard circuit breaker: consecutive RPC failures before the
         shard is skipped, and how long before a half-open probe.
     watchdog_interval:
-        Seconds between dead-shard sweeps (respawn); ``0`` disables the
-        thread — :meth:`check_shards` can still be called manually.
+        Seconds between the core's watchdog sweeps, which also respawn
+        dead shard processes; ``0`` disables the thread —
+        :meth:`check_shards` can still be called manually.
     start_method:
         ``multiprocessing`` start method; default prefers ``fork``
         (cheap respawn, copy-on-write corpus) and falls back to
         ``spawn`` where fork is unavailable.
     """
 
-    _UNSET: Any = object()
+    # wpbench's tracer (LAYERS in wpbench/tracer.py) patches these two
+    # names in this class's own __dict__; both are the core's methods.
+    submit = QueryExecutor.submit
+    _process = QueryExecutor._execute_batch
 
     def __init__(
         self,
@@ -465,37 +439,18 @@ class ClusterExecutor:
         breaker_threshold: int = 5,
         breaker_reset_s: float = 30.0,
         watchdog_interval: float = 1.0,
-        tracer: Tracer | None = _UNSET,
+        tracer: Tracer | None = QueryExecutor._UNSET,
         logger: StructuredLogger | None = None,
         slow_query_ms: float | None = None,
         start_method: str | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if coordinators < 1:
-            raise ValueError(f"coordinators must be >= 1, got {coordinators}")
-        if queue_size <= 0:
-            raise ValueError(f"queue_size must be positive, got {queue_size}")
         if shard_timeout_s <= 0:
             raise ValueError(
                 f"shard_timeout_s must be positive, got {shard_timeout_s}"
             )
-        if watchdog_interval < 0:
-            raise ValueError(
-                f"watchdog_interval must be >= 0, got {watchdog_interval}"
-            )
-        if slow_query_ms is not None and slow_query_ms < 0:
-            raise ValueError(f"slow_query_ms must be >= 0, got {slow_query_ms}")
-        self.system = system
         self.num_shards = shards
-        self.cache = cache if cache is not None else (
-            ResultCache(cache_size) if cache_size > 0 else None
-        )
-        self.metrics = metrics or ServiceMetrics()
-        self.tracer = Tracer() if tracer is self._UNSET else tracer
-        self.logger = logger
-        self.slow_query_ms = slow_query_ms
-        self.default_timeout = default_timeout
         self.shard_timeout_s = shard_timeout_s
         if start_method is None:
             start_method = (
@@ -505,152 +460,53 @@ class ClusterExecutor:
             )
         self._context = multiprocessing.get_context(start_method)
         self._request_ids = itertools.count(1)
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
-        self._state_lock = threading.Lock()
-        self._closed = False
-        self._draining = False
+        self._handles: list[_ShardHandle] = []
+        super().__init__(
+            system,
+            workers=coordinators,
+            queue_size=queue_size,
+            cache_size=cache_size,
+            cache=cache,
+            metrics=metrics,
+            default_timeout=default_timeout,
+            watchdog_interval=watchdog_interval,
+            breaker_threshold=breaker_threshold,
+            breaker_reset_s=breaker_reset_s,
+            tracer=tracer,
+            logger=logger,
+            slow_query_ms=slow_query_ms,
+        )
 
-        documents = [(doc.doc_id, doc.text) for doc in system.corpus]
-        partitions = partition_documents(documents, shards)
+    # -- shard processes -----------------------------------------------------
+
+    def _start_backend(self) -> None:
+        """Partition the corpus and fork one worker process per shard."""
+        documents = [(doc.doc_id, doc.text) for doc in self.system.corpus]
+        partitions = partition_documents(documents, self.num_shards)
         self._handles = [
             _ShardHandle(
                 shard_id,
                 partition,
                 context=self._context,
-                breaker=self._make_breaker(shard_id, breaker_threshold, breaker_reset_s),
+                breaker=self._new_breaker(f"shard-{shard_id}"),
                 metrics=self.metrics,
-                request_timeout_s=shard_timeout_s,
+                request_timeout_s=self.shard_timeout_s,
             )
             for shard_id, partition in enumerate(partitions)
         ]
-        self._threads = [
-            threading.Thread(
-                target=self._coordinator_loop,
-                name=f"repro-cluster-coord-{index}",
-                daemon=True,
-            )
-            for index in range(coordinators)
-        ]
-        for thread in self._threads:
-            thread.start()
-        self._watchdog = (
-            Watchdog(
-                self.check_shards,
-                interval_s=watchdog_interval,
-                name="repro-cluster-watchdog",
-            ).start()
-            if watchdog_interval > 0
-            else None
-        )
 
-    def _make_breaker(
-        self, shard_id: int, threshold: int, reset_s: float
-    ) -> CircuitBreaker:
-        on_transition: Callable[[str, str], None] | None = None
-        if self.logger is not None:
+    def _stop_backend(self) -> None:
+        for handle in self._handles:
+            handle.close()
 
-            def on_transition(old: str, new: str, shard: int = shard_id) -> None:
-                self.logger.warning(
-                    "breaker.transition",
-                    family=f"shard-{shard}",
-                    old_state=old,
-                    new_state=new,
-                    trace_id=current_trace().trace_id or None,
-                )
-
-        return CircuitBreaker(
-            failure_threshold=threshold,
-            reset_timeout_s=reset_s,
-            on_transition=on_transition,
-        )
-
-    # -- client API ----------------------------------------------------------
-
-    def submit(
-        self,
-        query_text: str,
-        *,
-        top_k: int = 5,
-        scoring: str | None = None,
-        timeout: float | None = None,
-        trace: Any = None,
-        explain: bool = False,
-    ) -> "Future[QueryResponse]":
-        """Enqueue one query; never blocks (same contract as the
-        single-process executor, including trace ownership and the
-        ``explain`` plan report)."""
-        if self._closed:
-            raise QueryRejected("cluster executor is shut down")
-        if scoring is not None and scoring not in SCORING_PRESETS:
-            raise ValueError(
-                f"unknown scoring preset {scoring!r}; "
-                f"expected one of {sorted(SCORING_PRESETS)}"
-            )
-        timeout_s = self.default_timeout if timeout is None else timeout
-        owns_trace = trace is None
-        if trace is None:
-            trace = (
-                self.tracer.trace(
-                    "request",
-                    query=query_text,
-                    scoring=scoring or "default",
-                    top_k=top_k,
-                    shards=self.num_shards,
-                )
-                if self.tracer is not None
-                else NULL_TRACE
-            )
-        now = time.monotonic()
-        request = _ClusterRequest(
-            query_text=query_text,
-            top_k=top_k,
-            scoring_name=scoring or "default",
-            timeout_s=timeout_s,
-            deadline=now + timeout_s if timeout_s is not None else None,
-            submitted_at=now,
-            trace=trace,
-            owns_trace=owns_trace,
-            explain=explain,
-        )
-        request.queue_span = trace.begin(
-            "queue", parent=trace.root, depth_at_submit=self._queue.qsize()
-        )
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            self.metrics.increment("rejected_total")
-            request.queue_span.finish()
-            trace.root.set_tag("outcome", "shed")
-            self._log_request(request, "shed", level="warning", reason="backlog_full")
-            if owns_trace:
-                trace.finish()
-            raise QueryRejected(
-                f"backlog full ({self._queue.maxsize} pending)"
-            ) from None
-        self.metrics.increment("requests_total")
-        self.metrics.set_queue_depth(self._queue.qsize())
-        return request.future
-
-    def ask(
-        self,
-        query_text: str,
-        *,
-        top_k: int = 5,
-        scoring: str | None = None,
-        timeout: float | None = None,
-    ) -> QueryResponse:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(
-            query_text, top_k=top_k, scoring=scoring, timeout=timeout
-        ).result()
-
-    def apply(self, mutator: Callable[[SearchSystem], Any]) -> Any:
+    def apply(
+        self, mutator: Callable[[SearchSystem], Any], *, exclusive: bool = True
+    ) -> Any:
         """Refused: the shard partitions are built once, at construction.
 
-        Live mutation of a sharded corpus needs generation-coherent
-        shard updates (ROADMAP item 3's segment model); until then the
-        cluster serves an immutable snapshot and says so instead of
-        silently diverging from its shards.
+        The cluster serves an immutable snapshot of the corpus and says
+        so instead of silently diverging from its shards.  ``ingest``
+        and ``delete`` come through here, so they are refused too.
         """
         raise ClusterMutationError(
             "the clustered corpus is immutable while serving; rebuild the "
@@ -675,50 +531,30 @@ class ClusterExecutor:
             )
         return report
 
-    def health(self) -> dict:
-        """Structured health (the ``/readyz`` backing data in cluster mode).
-
-        ``ready`` means accepting work with at least one live shard;
-        ``degraded`` means some shards are down or shedding.
-        """
-        with self._state_lock:
-            closed = self._closed
-            draining = self._draining
-        shards = self.shard_health()
+    def _capacity(
+        self, shards: list[dict]
+    ) -> tuple[dict, dict | None, list[str]]:
+        """The shards stand in for the worker pool: ``ready`` needs one
+        live shard, and a dead or shedding shard makes it ``degraded``."""
         alive = sum(1 for shard in shards if shard["alive"])
         open_breakers = sorted(
             f"shard-{shard['shard']}"
             for shard in shards
             if shard["breaker"] != "closed"
         )
-        accepting = not closed
-        ready = accepting and alive > 0
-        if not ready:
-            status = "unhealthy"
-        elif alive < len(shards) or open_breakers:
-            status = "degraded"
-        else:
-            status = "ok"
-        return {
-            "status": status,
-            "ready": ready,
-            "accepting": accepting,
-            "draining": draining,
-            "shards": shards,
-            "workers": {
-                "configured": len(shards),
-                "alive": alive,
-                "restarts": self.metrics.count("shard_respawns"),
-            },
-            "queue": {
-                "depth": self._queue.qsize(),
-                "capacity": self._queue.maxsize,
-            },
-            "open_breakers": open_breakers,
+        workers = {
+            "configured": len(shards),
+            "alive": alive,
+            "restarts": self.metrics.count("shard_respawns"),
         }
+        return workers, None, open_breakers
+
+    def check_workers(self) -> dict:
+        """The core's watchdog sweep, plus :meth:`check_shards`."""
+        return {**super().check_workers(), **self.check_shards()}
 
     def check_shards(self) -> dict:
-        """One watchdog sweep: respawn shards whose process died.
+        """Respawn shards whose process died.
 
         Each respawn runs inside its own (sampled) background trace so
         repair work is attributable like request work.
@@ -755,10 +591,8 @@ class ClusterExecutor:
         """Every shard writes its crash-safe snapshot under ``directory``.
 
         Returns the per-shard snapshot paths (``shard-<i>.snapshot``),
-        written with the PR-3 envelope by the workers themselves.
+        written with the snapshot envelope by the workers themselves.
         """
-        import pathlib
-
         base = pathlib.Path(directory)
         base.mkdir(parents=True, exist_ok=True)
         calls = []
@@ -782,316 +616,84 @@ class ClusterExecutor:
             paths.append(reply.get("path", path))
         return paths
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- the sharded execution step ------------------------------------------
 
-    def shutdown(
-        self, wait: bool = True, *, drain_timeout: float | None = None
-    ) -> None:
-        """Stop admission, drain, stop coordinators and shards; idempotent."""
-        with self._state_lock:
-            first = not self._closed
-            self._closed = True
-            self._draining = True
-        if first:
-            if self._watchdog is not None:
-                self._watchdog.stop()
-            for _ in self._threads:
-                self._queue.put(_SENTINEL)
-        if wait:
-            deadline = (
-                time.monotonic() + drain_timeout
-                if drain_timeout is not None
-                else None
+    def _run_join(
+        self, group: Sequence[_Request], *, avoid_duplicates: bool
+    ) -> list[list[RankedDocument] | None]:
+        """Scatter the whole group, then gather and merge each request.
+
+        Every request goes to every admitting shard before any reply is
+        awaited.  A shard that fails or is breaker-skipped only shrinks
+        the merge, and the answer is partial (``shards_failed``).  A
+        request that every shard failed, or that a shard rejected as a
+        bad query, is failed here and gets ``None``.
+        """
+        started = time.perf_counter()
+        scattered = [self._scatter(request, avoid_duplicates) for request in group]
+        rankings: list[list[RankedDocument] | None] = []
+        for request, (scatter_span, calls, skipped) in zip(group, scattered):
+            streams, failed, client_error = self._gather(
+                request, scatter_span, calls, skipped
             )
-            for thread in self._threads:
-                if deadline is None:
-                    thread.join()
-                else:
-                    thread.join(max(0.0, deadline - time.monotonic()))
-            dropped = self._fail_pending("cluster shut down before execution")
-            if dropped:
-                self.metrics.increment("drain_dropped", dropped)
-            if first:
-                for handle in self._handles:
-                    handle.close()
-        with self._state_lock:
-            self._draining = False
-
-    def _fail_pending(self, reason: str) -> int:
-        pending: list[_ClusterRequest] = []
-        sentinels = 0
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SENTINEL:
-                sentinels += 1
-            else:
-                pending.append(item)
-        for _ in range(sentinels):
-            self._queue.put(_SENTINEL)
-        dropped = 0
-        for request in pending:
-            if not request.future.done():
-                if request.queue_span is not None:
-                    request.queue_span.finish()
-                self._fail(request, ShutdownDrained(reason), "shed")
-                dropped += 1
-        return dropped
-
-    def __enter__(self) -> "ClusterExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown(wait=True)
-
-    # -- coordinator internals -----------------------------------------------
-
-    def _coordinator_loop(self) -> None:
-        while True:
-            request = self._queue.get()
-            if request is _SENTINEL:
-                break
-            self.metrics.set_queue_depth(self._queue.qsize())
-            try:
-                self._process(request)
-            except BaseException as exc:  # never kill the coordinator
+            request.join_s = time.perf_counter() - started
+            if client_error is not None:
+                self._fail(request, client_error, "error")
+                rankings.append(None)
+                continue
+            if not streams:
                 self.metrics.increment("errors_total")
-                if not request.future.done():
-                    self._fail(request, exc, "error")
-
-    def _log_request(
-        self,
-        request: _ClusterRequest,
-        outcome: str,
-        *,
-        level: str = "info",
-        **extra: Any,
-    ) -> None:
-        if self.logger is None or not self.logger.enabled:
-            return
-        latency_ms = (time.monotonic() - request.submitted_at) * 1e3
-        fields = {
-            "trace_id": request.trace.trace_id or None,
-            "query": request.query_text,
-            "scoring": request.scoring_name,
-            "top_k": request.top_k,
-            "outcome": outcome,
-            "latency_ms": round(latency_ms, 3),
-            "queue_ms": round(request.queue_wait_s * 1e3, 3),
-            "join_ms": (
-                round(request.join_s * 1e3, 3) if request.join_s is not None else None
-            ),
-            **extra,
-        }
-        self.logger.log("request", level=level, **fields)
-        if (
-            self.slow_query_ms is not None
-            and latency_ms >= self.slow_query_ms
-            and outcome not in ("shed",)
-        ):
-            self.logger.warning(
-                "slow_query", threshold_ms=self.slow_query_ms, **fields
-            )
-
-    def _fail(
-        self,
-        request: _ClusterRequest,
-        exc: BaseException,
-        outcome: str,
-        *,
-        level: str = "warning",
-    ) -> None:
-        request.trace.root.set_tag("outcome", outcome)
-        self._log_request(request, outcome, level=level, error=type(exc).__name__)
-        if request.owns_trace:
-            request.trace.finish()
-        if not request.future.done():
-            request.future.set_exception(exc)
-
-    def _finish(
-        self,
-        request: _ClusterRequest,
-        response: QueryResponse,
-        **log_fields: Any,
-    ) -> None:
-        self.metrics.observe_latency(response.latency_s)
-        outcome = "degraded" if response.degraded else "ok"
-        request.trace.root.set_tags(
-            outcome=outcome,
-            cached=response.cached,
-            generation=response.generation,
-            shards_failed=response.shards_failed,
-        )
-        self._log_request(
-            request,
-            outcome,
-            cached=response.cached,
-            generation=response.generation,
-            shards_total=response.shards_total,
-            shards_failed=response.shards_failed,
-            **log_fields,
-        )
-        if request.owns_trace:
-            request.trace.finish()
-        request.future.set_result(response)
-
-    def _cache_get(self, key) -> Any | None:
-        if self.cache is None:
-            return None
-        try:
-            return self.cache.get(key)
-        except Exception:
-            self.metrics.increment("cache_errors")
-            return None
-
-    def _cache_put(self, key, value) -> None:
-        if self.cache is None:
-            return
-        try:
-            self.cache.put(key, value)
-        except Exception:
-            self.metrics.increment("cache_errors")
-
-    def _process(self, request: _ClusterRequest) -> None:
-        request.exec_started_at = time.monotonic()
-        if request.queue_span is not None:
-            request.queue_span.finish()
-        self.metrics.observe_queue_wait(request.queue_wait_s)
-        if request.future.cancelled():
-            if request.owns_trace:
-                request.trace.finish(outcome="cancelled")
-            return
-        if request.deadline is not None:
-            remaining = request.deadline - time.monotonic()
-            if remaining <= 0:
-                self.metrics.increment("deadline_misses")
                 self._fail(
                     request,
-                    DeadlineExceeded(
-                        f"deadline expired {-remaining:.3f}s before execution"
+                    ShardsUnavailable(
+                        f"all {self.num_shards} shards failed "
+                        f"({failed} failed, {skipped} breaker-skipped)"
                     ),
-                    "timeout",
+                    "error",
+                    level="error",
                 )
-                return
-
-        generation = self.system.index_generation
-        key = make_key(
-            request.query_text, request.scoring_name, generation, request.top_k
-        )
-        if self.cache is not None and not request.explain:
-            cache_span = request.trace.begin(
-                "cache.get", parent=request.trace.root, generation=generation
+                rankings.append(None)
+                continue
+            merge_span = request.trace.begin(
+                "merge", parent=request.batch_span, streams=len(streams)
             )
-            cached = self._cache_get(key)
-            cache_span.set_tag("hit", cached is not None).finish()
-            self.metrics.increment(
-                "cache_hits" if cached is not None else "cache_misses"
-            )
-            if cached is not None:
-                self._finish(
-                    request,
-                    QueryResponse(
-                        query_text=request.query_text,
-                        results=cached,
-                        cached=True,
-                        degraded=False,
-                        generation=generation,
-                        latency_s=time.monotonic() - request.submitted_at,
-                        shards_total=self.num_shards,
-                        shards_failed=0,
-                    ),
+            merged = threshold_merge(streams, request.top_k)
+            merge_span.set_tags(
+                pulls=merged.pulls, pulls_saved=merged.pulls_saved
+            ).finish()
+            self.metrics.increment("merge_pulls_saved", merged.pulls_saved)
+            self.metrics.increment("joins_executed")
+            request.merge_pulls_saved = merged.pulls_saved
+            request.shards_failed = failed + skipped
+            if request.shards_failed:
+                request.trace.root.set_tag("degraded_by", "shard_failure")
+            if request.explain:
+                # The merged results come from the shards; the plan
+                # report comes from one real execution on the
+                # coordinator's full-corpus system (exact shard merges
+                # are verified identical to the single-process ranking),
+                # so the term, DAAT, and stage counters describe the
+                # same query.
+                _ranked, request.explain_report = self.system.ask(
+                    request.query_text,
+                    top_k=request.top_k,
+                    scoring=request.scoring,
+                    explain=True,
                 )
-                return
+            rankings.append(merged.ranked)
+        self.metrics.observe_join(group[0].scoring_name, time.perf_counter() - started)
+        return rankings
 
-        try:
-            streams, stats = self._scatter_gather(request)
-        except (QuerySyntaxError, ValueError) as exc:
-            self._fail(request, exc, "error")
-            return
-        if not streams:
-            self.metrics.increment("errors_total")
-            self._fail(
-                request,
-                ShardsUnavailable(
-                    f"all {self.num_shards} shards failed "
-                    f"({stats['failed']} failed, {stats['skipped']} breaker-skipped)"
-                ),
-                "error",
-                level="error",
-            )
-            return
-
-        merge_span = request.trace.begin(
-            "merge", parent=request.trace.root, streams=len(streams)
-        )
-        merged = threshold_merge(streams, request.top_k)
-        merge_span.set_tags(
-            pulls=merged.pulls, pulls_saved=merged.pulls_saved
-        ).finish()
-        self.metrics.increment("merge_pulls_saved", merged.pulls_saved)
-        self.metrics.increment("joins_executed")
-
-        results = tuple(merged.ranked)
-        failed = stats["failed"] + stats["skipped"]
-        partial = failed > 0
-        if partial:
-            request.trace.root.set_tag("degraded_by", "shard_failure")
-            self.metrics.increment("degraded_responses")
-        else:
-            self._cache_put(key, results)
-        report = None
-        if request.explain:
-            # The merged results come from the shards; the plan report
-            # comes from one real execution on the coordinator's
-            # full-corpus system (exact shard merges are verified
-            # identical to the single-process ranking), so the term,
-            # DAAT, and stage counters describe the same query.
-            scoring = (
-                SCORING_PRESETS[request.scoring_name]()
-                if request.scoring_name in SCORING_PRESETS
-                else None
-            )
-            _ranked, report = self.system.ask(
-                request.query_text,
-                top_k=request.top_k,
-                scoring=scoring,
-                explain=True,
-            )
-            report["provenance"]["result_cache"] = "bypass"
-        self._finish(
-            request,
-            QueryResponse(
-                query_text=request.query_text,
-                results=results,
-                cached=False,
-                degraded=partial,
-                generation=generation,
-                latency_s=time.monotonic() - request.submitted_at,
-                shards_total=self.num_shards,
-                shards_failed=failed,
-                explain=report,
-            ),
-            merge_pulls_saved=merged.pulls_saved,
-        )
-
-    def _scatter_gather(
-        self, request: _ClusterRequest
-    ) -> tuple[list[Sequence[RankedDocument]], dict]:
-        """Fan the query out, collect per-shard k-best streams.
-
-        Returns the streams from the shards that answered plus
-        ``{"failed": …, "skipped": …}`` counts.  Raises client errors
-        (bad query / bad parameters) through; shard failures only
-        reduce the stream set.
-        """
+    def _scatter(
+        self, request: _Request, avoid_duplicates: bool
+    ) -> tuple[Span | Any, list[_ShardCall], int]:
+        """Send one request to every admitting shard; returns its
+        ``scatter`` span, the calls in flight, and the shards skipped."""
         scatter_span = request.trace.begin(
-            "scatter", parent=request.trace.root, shards=self.num_shards
+            "scatter", parent=request.batch_span, shards=self.num_shards
         )
-        calls: list[tuple[_ShardHandle, _ShardCall]] = []
+        calls: list[_ShardCall] = []
         skipped = 0
-        join_started = time.perf_counter()
         # Trace context rides the pickle protocol only when the request
         # trace records: the coordinator owns the sampling decision, the
         # worker records unconditionally when asked (see worker.py).
@@ -1112,7 +714,7 @@ class ClusterExecutor:
                 "query": request.query_text,
                 "top_k": request.top_k,
                 "scoring": request.scoring_name,
-                "avoid_duplicates": True,
+                "avoid_duplicates": avoid_duplicates,
             }
             if trace_context is not None:
                 message["trace"] = trace_context
@@ -1130,13 +732,24 @@ class ClusterExecutor:
                 skipped += 1
                 continue
             self.metrics.increment("shard_requests")
-            calls.append((handle, call))
+            calls.append(call)
+        return scatter_span, calls, skipped
 
+    def _gather(
+        self,
+        request: _Request,
+        scatter_span: Span | Any,
+        calls: list[_ShardCall],
+        skipped: int,
+    ) -> tuple[list[Sequence[RankedDocument]], int, BaseException | None]:
+        """Wait for one request's shard replies: the k-best streams of
+        the shards that answered, how many failed, and a client error
+        (bad query / bad parameters) if a shard reported one."""
         streams: list[Sequence[RankedDocument]] = []
         failed = 0
         client_error: BaseException | None = None
         joins_run = joins_skipped = join_ns = 0
-        for handle, call in calls:
+        for call in calls:
             budget = self.shard_timeout_s + 1.0
             if request.deadline is not None:
                 budget = min(
@@ -1151,13 +764,12 @@ class ClusterExecutor:
                 failed += 1
                 continue
             streams.append(reply["results"])
+            # repro: ignore[deadline-discipline] reply is the worker's
+            # reply dict; dict.get never waits
             shard_stats = reply.get("stats", {})
             joins_run += int(shard_stats.get("joins_run", 0))
             joins_skipped += int(shard_stats.get("joins_skipped", 0))
             join_ns += int(shard_stats.get("join_ns", 0))
-        elapsed = time.perf_counter() - join_started
-        request.join_s = elapsed
-        self.metrics.observe_join(request.scoring_name, elapsed)
         self.metrics.increment("joins_run", joins_run)
         self.metrics.increment("joins_skipped", joins_skipped)
         self.metrics.increment("join_micros", join_ns // 1000)
@@ -1168,6 +780,4 @@ class ClusterExecutor:
             joins_run=joins_run,
             joins_skipped=joins_skipped,
         ).finish()
-        if client_error is not None:
-            raise client_error
-        return streams, {"failed": failed, "skipped": skipped}
+        return streams, failed, client_error

@@ -61,7 +61,8 @@ from repro.retrieval.ranking import RankedDocument
 from repro.retrieval.topk_retrieval import (
     TopKResult,
     _id_key,
-    score_upper_bound,
+    prunable,
+    upper_bound_terms,
 )
 
 __all__ = ["daat_enabled", "DaatResult", "rank_top_k_daat"]
@@ -114,7 +115,8 @@ def _pair_bound(
       better of the two cases, minimized over applicable pairs.
 
     All three stay sound for *any* matchset the join could return, so
-    skipping below the floor preserves byte-identical results.
+    skipping what :func:`~repro.retrieval.topk_retrieval.prunable`
+    rules out preserves byte-identical results.
     """
     if isinstance(scoring, WinScoring):
         delta = max(post.min_gap for _ja, _jb, post in applicable)
@@ -132,7 +134,13 @@ def _pair_bound(
                 scoring.g(ja, postings[ja].best_scores[doc], half) + contrib_b,
                 contrib_a + scoring.g(jb, postings[jb].best_scores[doc], half),
             )
-            bound = scoring.f(total - contrib_a - contrib_b + cap)
+            # The other terms' contributions, summed afresh rather than
+            # as total − a − b, so a two-term bound is exactly f(cap).
+            rest = 0.0
+            for j, impact in enumerate(contrib_maps):
+                if j != ja and j != jb:
+                    rest += impact[doc]
+            bound = scoring.f(rest + cap)
             if best is None or bound < best:
                 best = bound
         assert best is not None
@@ -177,6 +185,8 @@ def rank_top_k_daat(
 
         ceilings = [p.ceiling(scoring, j) for j, p in enumerate(postings)]
         global_bound = bound_combine(scoring, sum(ceilings))
+        global_size = sum(abs(c) for c in ceilings)
+        n_terms = len(terms)
         # Impact maps: doc id → g_j(best_score), precomputed per term so
         # the per-pivot membership bound is |Q| dict lookups.
         contrib_maps = [
@@ -244,25 +254,22 @@ def rank_top_k_daat(
                 continue
 
             scanned += 1
-            key: tuple[int, ...] | None = None
             applicable: list[tuple[int, int, PairPosting]] = []
             if len(floor) == k:
-                weakest_score, weakest_key = floor[0]
-                if global_bound < weakest_score:
-                    # No document anywhere can beat the floor strictly;
-                    # remaining pivots are unscanned, not just skipped.
+                weakest = floor[0]
+                if prunable(
+                    global_bound, weakest, None, terms=n_terms, size=global_size
+                ):
+                    # No document anywhere can beat the floor; remaining
+                    # pivots are unscanned, not just skipped.
                     break
-                total = 0.0
+                total = size = 0.0
                 for impact in contrib_maps:
-                    total += impact[doc]
+                    contribution = impact[doc]
+                    total += contribution
+                    size += abs(contribution)
                 bound = combine(total)
-                skip = False
-                if bound < weakest_score:
-                    skip = True
-                elif bound == weakest_score:
-                    key = _id_key(doc)
-                    if key < weakest_key:
-                        skip = True
+                skip = prunable(bound, weakest, doc, terms=n_terms, size=size)
                 if not skip and pair_entries:
                     for ja, jb, entry in pair_entries:
                         post = entry.docs.get(doc)
@@ -275,14 +282,16 @@ def rank_top_k_daat(
                         )
                         if pair_bound < bound:
                             pair_tightenings += 1
-                        bound = pair_bound
-                        if bound < weakest_score:
-                            skip = True
-                        elif bound == weakest_score:
-                            if key is None:
-                                key = _id_key(doc)
-                            if key < weakest_key:
-                                skip = True
+                        # WIN's f(Σg, δ) and MAX's cap bound the score term
+                        # by term; MED's f(Σg − δ) does not.
+                        skip = prunable(
+                            pair_bound,
+                            weakest,
+                            doc,
+                            terms=n_terms,
+                            size=size,
+                            termwise=not isinstance(scoring, MedScoring),
+                        )
                 if skip:
                     pivot_skips += 1
                     bound_skips += 1
@@ -310,17 +319,8 @@ def rank_top_k_daat(
                 terms, doc, memo=doc_memo, generation=generation
             )
             if len(floor) == k:
-                weakest_score, weakest_key = floor[0]
-                exact_bound = score_upper_bound(scoring, lists)
-                skip = False
-                if exact_bound < weakest_score:
-                    skip = True
-                elif exact_bound == weakest_score:
-                    if key is None:
-                        key = _id_key(doc)
-                    if key < weakest_key:
-                        skip = True
-                if skip:
+                exact_bound, size = upper_bound_terms(scoring, lists)
+                if prunable(exact_bound, floor[0], doc, terms=n_terms, size=size):
                     bound_skips += 1
                     doc = lead.advance()
                     continue
@@ -337,8 +337,7 @@ def rank_top_k_daat(
                 stats.join_ns += time.perf_counter_ns() - started
             if result:
                 assert result.matchset is not None and result.score is not None
-                if key is None:
-                    key = _id_key(doc)
+                key = _id_key(doc)
                 entry = (result.score, key)
                 if len(floor) < k:
                     heapq.heappush(floor, entry)

@@ -20,6 +20,7 @@ the returned statistics report how many joins the bound avoided.
 from __future__ import annotations
 
 import heapq
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from repro.core.kernels.columnar import (
     bound_combine,
     bound_transform,
     kernels_enabled,
-    max_g_sum,
+    lower,
 )
 from repro.core.match import MatchList
 from repro.core.query import Query
@@ -38,7 +39,10 @@ from repro.core.scoring.base import ScoringFunction
 from repro.retrieval.instrumentation import current_join_stats
 from repro.retrieval.ranking import RankedDocument
 
-__all__ = ["score_upper_bound", "TopKResult", "rank_top_k"]
+__all__ = ["prunable", "score_upper_bound", "TopKResult", "rank_top_k"]
+
+#: Machine epsilon of IEEE-754 doubles (``2 · u``); see :func:`prunable`.
+_EPS = sys.float_info.epsilon
 
 # Bound memos cached per match list; a list is normally bounded under a
 # handful of scoring configurations (mirrors the kernel-cache cap).
@@ -92,6 +96,15 @@ def score_upper_bound(
 
     Assumes every list is non-empty; callers skip empty-join documents
     before bounding.
+    """
+    return upper_bound_terms(scoring, lists)[0]
+
+
+def upper_bound_terms(
+    scoring: ScoringFunction, lists: Sequence[MatchList]
+) -> tuple[float, float]:
+    """:func:`score_upper_bound` plus ``Σ_j |max_m g_j|``, the size
+    :func:`prunable` needs to judge the bound's rounding.
 
     On the kernel path each list's ``max_j g_j`` is a constant cached on
     the columnar lowering (:mod:`repro.core.kernels`); on the object path
@@ -101,10 +114,54 @@ def score_upper_bound(
     the per-attribute max-score precomputation of Fagin-style threshold
     algorithms — instead of an O(Σ|L_j|) rescan per candidate document.
     """
-    if kernels_enabled():
-        return bound_combine(scoring, max_g_sum(lists, scoring))
-    total = sum(_list_bound_max(lst, scoring, j) for j, lst in enumerate(lists))
-    return bound_combine(scoring, total)
+    kernels = kernels_enabled()
+    total = size = 0.0
+    for j, lst in enumerate(lists):
+        best = lower(lst, scoring, j).max_g if kernels else _list_bound_max(
+            lst, scoring, j
+        )
+        total += best
+        size += abs(best)
+    return bound_combine(scoring, total), size
+
+
+def prunable(
+    bound: float,
+    floor: tuple[float, tuple[int, ...]],
+    doc_id: str | None,
+    *,
+    terms: int,
+    size: float,
+    termwise: bool = True,
+) -> bool:
+    """Whether a document whose score is at most ``bound`` provably
+    stays out of a full top-k heap whose weakest entry is ``floor``.
+
+    ``bound`` is a float sum over ``terms`` per-term values of total
+    magnitude ``size``; the join sums the score in another order, so
+    the two floats can differ by rounding and the bound gets a margin:
+
+    * none for a ``termwise`` bound (per term, at least what the score
+      sums) over at most two terms: two operands round the same in
+      either order and rounding is monotone;
+    * otherwise ``(terms + 3)·eps·(3·size + |floor|)``: recursive
+      summation of ``k`` operands errs by at most ``k·u·Σ|operand|``,
+      each side takes at most ``terms + 3`` operations, and a document
+      that could reach the floor has operands summing to at most
+      ``3·size + |floor|`` when ``f`` is a translation (every serving
+      preset).
+
+    Skip only when ``bound`` plus the margin is below the floor's
+    score, or equals it and ``doc_id`` loses the tie (``None``: no
+    tie can be broken).
+    """
+    score, key = floor
+    ceiling = bound
+    if terms > 2 or not termwise:
+        ceiling += (terms + 3) * _EPS * (3.0 * size + abs(score))
+    if ceiling < score:
+        return True
+    return ceiling == score and doc_id is not None and _id_key(doc_id) < key
 
 
 def _id_key(doc_id: str) -> tuple[int, ...]:
@@ -159,22 +216,16 @@ def rank_top_k(
     bound_skips = 0
     stats = current_join_stats()
 
+    terms = len(query)
     for doc_id, lists in per_document_lists:
         seen += 1
         if any(len(lst) == 0 for lst in lists):
             continue
-        key: tuple[int, ...] | None = None
         if len(floor) == k:
-            weakest_score, weakest_key = floor[0]
-            bound = score_upper_bound(scoring, lists)
-            if bound < weakest_score:
+            bound, size = upper_bound_terms(scoring, lists)
+            if prunable(bound, floor[0], doc_id, terms=terms, size=size):
                 bound_skips += 1
                 continue  # provably outside the top k
-            if bound == weakest_score:
-                key = _id_key(doc_id)
-                if key < weakest_key:
-                    bound_skips += 1
-                    continue
         joins += 1
         if stats is None:
             result = best_matchset(
@@ -189,8 +240,7 @@ def rank_top_k(
         if not result:
             continue
         assert result.matchset is not None and result.score is not None
-        if key is None:
-            key = _id_key(doc_id)
+        key = _id_key(doc_id)
         entry = (result.score, key)
         if len(floor) < k:
             heapq.heappush(floor, entry)

@@ -114,6 +114,8 @@ class MicroBatcher:
         term-connected; batches longer than ``max_batch`` are split.
         Singleton batches mean "just run it alone".
         """
+        if len(requests) < 2:
+            return [list(requests)] if requests else []
         by_key: dict[Hashable, list[R]] = {}
         for request in requests:
             by_key.setdefault(request.batch_key, []).append(request)

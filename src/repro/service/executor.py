@@ -1,9 +1,8 @@
-"""Concurrent query execution: pool, admission control, deadlines, faults.
+"""The serving core: one request lifecycle, two execution steps.
 
-:class:`QueryExecutor` is the serving core.  It wraps one
-:class:`~repro.system.SearchSystem` behind a bounded queue and a worker
-pool, and layers on the serving concerns the synchronous façade does not
-have:
+:class:`QueryExecutor` owns everything a served query goes through
+between ``submit`` and its delivered :class:`QueryResponse`, whatever
+computes the ranking:
 
 * **Admission control** — ``submit()`` never blocks: when the backlog is
   full the request is rejected immediately (:class:`QueryRejected`), so
@@ -21,13 +20,11 @@ have:
   failing cache degrades to a miss (fail-open) rather than failing the
   request.
 * **Micro-batching** — workers drain the backlog and execute
-  term-sharing groups through :meth:`SearchSystem.ask_many`; see
-  :mod:`repro.service.batching`.
+  term-sharing groups together; see :mod:`repro.service.batching`.
 * **Consistent mutation** — :meth:`apply` runs a mutator under a write
   lock while queries hold read locks, so a ranking never observes a
   half-applied mutation and every cached entry's generation is exact.
-* **Fault tolerance** — transient failures of the exact join are
-  retried with exponential backoff and jitter; repeated failures open a
+* **Fault tolerance** — repeated failures of the exact join open a
   per-scoring-family :class:`~repro.reliability.CircuitBreaker` that
   sheds load to the degraded join; a :class:`~repro.reliability.Watchdog`
   respawns dead or stalled workers; :meth:`shutdown` stops admission,
@@ -35,10 +32,18 @@ have:
   with :class:`ShutdownDrained`.  :meth:`health` feeds the server's
   ``/readyz`` probe.
 
+The one step that differs between topologies is :meth:`_run_join`,
+which turns an admitted group into rankings.  Here it is the local
+step: :meth:`SearchSystem.ask_many` over the shared match-list memo,
+with transient failures retried under exponential backoff and jitter.
+:class:`~repro.cluster.ClusterExecutor` replaces it with the sharded
+step (scatter to shard processes, threshold merge) and inherits the
+rest.
+
 Exact responses are byte-identical to the serial ``SearchSystem.ask``
 path: caching keys on the index generation, batching shares only
 immutable match lists, and degradation only triggers under deadline
-pressure or an open breaker.
+pressure, an open breaker, or a failed shard.
 """
 
 from __future__ import annotations
@@ -138,6 +143,12 @@ class _Request:
     # EXPLAIN request: bypass the result cache and attach a plan report.
     explain: bool = False
     explain_report: dict | None = None
+    cache_key: Hashable | None = None
+    # Set by the sharded execution step: shards that did not answer
+    # (a partial answer is degraded and never cached), and the entries
+    # the threshold merge never pulled.
+    shards_failed: int = 0
+    merge_pulls_saved: int | None = None
 
     @property
     def batch_key(self) -> Hashable:
@@ -270,6 +281,8 @@ class QueryExecutor:
     """
 
     _UNSET: Any = object()
+    #: Shard processes behind the execution step (0: it runs in-process).
+    num_shards: int = 0
 
     def __init__(
         self,
@@ -353,6 +366,9 @@ class QueryExecutor:
         # Every worker thread ever spawned (originals + watchdog respawns);
         # shutdown joins them all so nothing is orphaned.
         self._threads: list[threading.Thread] = []
+        # Before the worker threads start, so a backend that forks
+        # processes does not copy them.
+        self._start_backend()
         for index in range(workers):
             self._slots.append(self._spawn_worker(index))
         self._watchdog = (
@@ -402,13 +418,15 @@ class QueryExecutor:
         timeout_s = self.default_timeout if timeout is None else timeout
         owns_trace = trace is None
         if trace is None:
+            tags: dict[str, Any] = {
+                "query": query_text,
+                "scoring": scoring or "default",
+                "top_k": top_k,
+            }
+            if self.num_shards:
+                tags["shards"] = self.num_shards
             trace = (
-                self.tracer.trace(
-                    "request",
-                    query=query_text,
-                    scoring=scoring or "default",
-                    top_k=top_k,
-                )
+                self.tracer.trace("request", **tags)
                 if self.tracer is not None
                 else NULL_TRACE
             )
@@ -520,13 +538,52 @@ class QueryExecutor:
         """A structured health report (the ``/readyz`` backing data).
 
         ``ready`` means the executor is accepting work and at least one
-        worker is alive; ``status`` is ``ok`` / ``degraded`` (some
-        workers down or a breaker not closed) / ``unhealthy``.
+        serving unit (a worker thread, or a shard process in cluster
+        mode) is alive; ``status`` is ``ok`` / ``degraded`` (some units
+        down or a breaker not closed) / ``unhealthy``.
         """
         with self._state_lock:
-            slots = list(self._slots)
             closed = self._closed
             draining = self._draining
+        shards = self.shard_health()
+        workers, breakers, open_breakers = self._capacity(shards)
+        accepting = not closed
+        ready = accepting and workers["alive"] > 0
+        if not ready:
+            status = "unhealthy"
+        elif workers["alive"] < workers["configured"] or open_breakers:
+            status = "degraded"
+        else:
+            status = "ok"
+        report: dict[str, Any] = {
+            "status": status,
+            "ready": ready,
+            "accepting": accepting,
+            "draining": draining,
+        }
+        if shards:
+            report["shards"] = shards
+        report["workers"] = workers
+        report["queue"] = {
+            "depth": self._queue.qsize(),
+            "capacity": self._queue.maxsize,
+        }
+        if breakers is not None:
+            report["breakers"] = breakers
+        report["open_breakers"] = open_breakers
+        return report
+
+    def shard_health(self) -> list[dict]:
+        """Per-shard status (the ``/healthz`` detail); empty in-process."""
+        return []
+
+    def _capacity(
+        self, shards: list[dict]
+    ) -> tuple[dict, dict | None, list[str]]:
+        """(``workers`` report, breaker snapshots, open breaker names)
+        for :meth:`health`: the worker pool and the per-family breakers."""
+        with self._state_lock:
+            slots = list(self._slots)
             breakers = {name: br.snapshot() for name, br in self._breakers.items()}
         alive = sum(
             1 for slot in slots if slot.thread is not None and slot.thread.is_alive()
@@ -534,31 +591,12 @@ class QueryExecutor:
         open_breakers = sorted(
             name for name, snap in breakers.items() if snap["state"] != "closed"
         )
-        accepting = not closed
-        ready = accepting and alive > 0
-        if not ready:
-            status = "unhealthy"
-        elif alive < len(slots) or open_breakers:
-            status = "degraded"
-        else:
-            status = "ok"
-        return {
-            "status": status,
-            "ready": ready,
-            "accepting": accepting,
-            "draining": draining,
-            "workers": {
-                "configured": len(slots),
-                "alive": alive,
-                "restarts": self.metrics.count("worker_restarts"),
-            },
-            "queue": {
-                "depth": self._queue.qsize(),
-                "capacity": self._queue.maxsize,
-            },
-            "breakers": breakers,
-            "open_breakers": open_breakers,
+        workers = {
+            "configured": len(slots),
+            "alive": alive,
+            "restarts": self.metrics.count("worker_restarts"),
         }
+        return workers, breakers, open_breakers
 
     def check_workers(self) -> dict:
         """One watchdog sweep: respawn dead workers, replace stalled ones.
@@ -641,6 +679,7 @@ class QueryExecutor:
             dropped = self._fail_pending("executor shut down before execution")
             if dropped:
                 self.metrics.increment("drain_dropped", dropped)
+            self._stop_backend()
         if first and self._fault_listener is not None:
             FAULTS.remove_listener(self._fault_listener)
             self._fault_listener = None
@@ -676,6 +715,14 @@ class QueryExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown(wait=True)
+
+    # -- execution backend ---------------------------------------------------
+
+    def _start_backend(self) -> None:
+        """Bring up what :meth:`_run_join` runs on (nothing in-process)."""
+
+    def _stop_backend(self) -> None:
+        """Release it again once the workers are joined; idempotent."""
 
     # -- worker internals ----------------------------------------------------
 
@@ -832,10 +879,23 @@ class QueryExecutor:
             cached=response.cached,
             generation=response.generation,
         )
+        shard_fields: dict[str, Any] = {}
+        if response.shards_total:
+            request.trace.root.set_tag("shards_failed", response.shards_failed)
+            shard_fields = {
+                "shards_total": response.shards_total,
+                "shards_failed": response.shards_failed,
+            }
+            if request.merge_pulls_saved is not None:
+                shard_fields["merge_pulls_saved"] = request.merge_pulls_saved
         if request.batch_span is not None:
             request.batch_span.finish()
         self._log_request(
-            request, outcome, cached=response.cached, generation=response.generation
+            request,
+            outcome,
+            cached=response.cached,
+            generation=response.generation,
+            **shard_fields,
         )
         if request.owns_trace:
             request.trace.finish()
@@ -845,27 +905,31 @@ class QueryExecutor:
         with self._state_lock:
             breaker = self._breakers.get(scoring_name)
             if breaker is None:
-                on_transition = None
-                if self.logger is not None:
-                    # Every state change becomes one structured event
-                    # carrying the trace id active when it happened.
-                    def on_transition(
-                        old: str, new: str, family: str = scoring_name
-                    ) -> None:
-                        self.logger.warning(
-                            "breaker.transition",
-                            family=family,
-                            old_state=old,
-                            new_state=new,
-                            trace_id=current_trace().trace_id or None,
-                        )
-
-                breaker = self._breakers[scoring_name] = CircuitBreaker(
-                    failure_threshold=self._breaker_threshold,
-                    reset_timeout_s=self._breaker_reset_s,
-                    on_transition=on_transition,
+                breaker = self._breakers[scoring_name] = self._new_breaker(
+                    scoring_name
                 )
             return breaker
+
+    def _new_breaker(self, family: str) -> CircuitBreaker:
+        """A breaker for one scoring family (or, in a cluster, one shard)."""
+        on_transition = None
+        if self.logger is not None:
+            # Every state change becomes one structured event carrying
+            # the trace id active when it happened.
+            def on_transition(old: str, new: str) -> None:
+                self.logger.warning(
+                    "breaker.transition",
+                    family=family,
+                    old_state=old,
+                    new_state=new,
+                    trace_id=current_trace().trace_id or None,
+                )
+
+        return CircuitBreaker(
+            failure_threshold=self._breaker_threshold,
+            reset_timeout_s=self._breaker_reset_s,
+            on_transition=on_transition,
+        )
 
     def _cache_get(self, key: Hashable) -> Any | None:
         """Result-cache lookup that fails open (a broken cache is a miss)."""
@@ -887,8 +951,12 @@ class QueryExecutor:
 
     def _run_join(
         self, group: Sequence[_Request], *, avoid_duplicates: bool
-    ) -> list[list[RankedDocument]]:
-        """Execute one homogeneous group, retrying transient exact failures.
+    ) -> list[list[RankedDocument] | None]:
+        """The execution step: one ranking per request of a homogeneous
+        group, or ``None`` for a request the step has already failed.
+
+        Locally the group runs through one :meth:`SearchSystem.ask_many`
+        call, retrying transient exact failures.
 
         Every request in the group gets its own ``join`` span (same
         wall-clock interval — the join is shared across the batch), and
@@ -995,24 +1063,22 @@ class QueryExecutor:
     def _deliver(
         self,
         group: Sequence[_Request],
-        rankings: Sequence[Sequence[RankedDocument]],
+        rankings: Sequence[Sequence[RankedDocument] | None],
         generation: int,
         *,
         exact: bool,
     ) -> None:
         for request, ranking in zip(group, rankings):
+            if ranking is None:
+                continue  # the execution step already failed it
             results = tuple(ranking)
-            if exact:
+            # A partial answer (some shard did not answer) is degraded.
+            full = exact and not request.shards_failed
+            if not full:
+                self.metrics.increment("degraded_responses")
+            elif request.cache_key is not None:
                 with use_trace(request.trace):
-                    self._cache_put(
-                        make_key(
-                            request.query_text,
-                            request.scoring_name,
-                            generation,
-                            request.top_k,
-                        ),
-                        results,
-                    )
+                    self._cache_put(request.cache_key, results)
             report = request.explain_report
             if report is not None:
                 # The request skipped the cache read on purpose; record
@@ -1024,9 +1090,11 @@ class QueryExecutor:
                     query_text=request.query_text,
                     results=results,
                     cached=False,
-                    degraded=not exact,
+                    degraded=not full,
                     generation=generation,
                     latency_s=time.monotonic() - request.submitted_at,
+                    shards_total=self.num_shards,
+                    shards_failed=request.shards_failed,
                     explain=report,
                 ),
             )
@@ -1075,24 +1143,26 @@ class QueryExecutor:
             generation = self.system.index_generation
             to_run: list[_Request] = []
             for request in exact:
-                key = make_key(
-                    request.query_text,
-                    request.scoring_name,
-                    generation,
-                    request.top_k,
-                )
-                if self.cache is not None and not request.explain:
+                cached = None
+                if self.cache is not None:
+                    # One key per request, for this read and the write
+                    # after the join: both at the generation read above.
+                    request.cache_key = make_key(
+                        request.query_text,
+                        request.scoring_name,
+                        generation,
+                        request.top_k,
+                    )
+                if request.cache_key is not None and not request.explain:
                     cache_span = request.trace.begin(
                         "cache.get", parent=request.batch_span, generation=generation
                     )
                     with use_trace(request.trace):
-                        cached = self._cache_get(key)
+                        cached = self._cache_get(request.cache_key)
                     cache_span.set_tag("hit", cached is not None).finish()
                     self.metrics.increment(
                         "cache_hits" if cached is not None else "cache_misses"
                     )
-                else:
-                    cached = None
                 if cached is not None:
                     self._finish(
                         request,
@@ -1103,6 +1173,7 @@ class QueryExecutor:
                             degraded=False,
                             generation=generation,
                             latency_s=time.monotonic() - request.submitted_at,
+                            shards_total=self.num_shards,
                         ),
                     )
                 else:
@@ -1158,5 +1229,4 @@ class QueryExecutor:
 
             if degraded:
                 rankings = self._run_join(degraded, avoid_duplicates=False)
-                self.metrics.increment("degraded_responses", len(degraded))
                 self._deliver(degraded, rankings, generation, exact=False)

@@ -9,7 +9,7 @@
     ``504``, a bad query or malformed parameter to ``400``.  Every
     error body is structured: ``{"error": {"code": …, "message": …}}``.
 ``POST /documents`` with body ``{"id": …, "text": …}``
-    Index one document through ``executor.apply``; ``201`` with the new
+    Index one document through ``executor.ingest``; ``201`` with the new
     generation on success, ``409`` (``duplicate_document``) when the id
     is already live, ``501`` (``mutations_unsupported``) on a cluster
     front end (shards own their corpus slices).
@@ -186,9 +186,9 @@ class _Handler(BaseHTTPRequestHandler):
             # In cluster mode (ClusterExecutor) liveness includes the
             # shard topology: pid, breaker state, and respawn count per
             # shard worker process.
-            shard_health = getattr(self.server.executor, "shard_health", None)
-            if callable(shard_health):
-                payload["shards"] = shard_health()
+            shards = self.server.executor.shard_health()
+            if shards:
+                payload["shards"] = shards
             self._send_json(200, payload)
         elif url.path == "/readyz":
             health = self.server.executor.health()
@@ -261,9 +261,9 @@ class _Handler(BaseHTTPRequestHandler):
             payload["index"] = status()
         else:
             payload["index"] = {"durable": False, "documents": len(system)}
-        shard_health = getattr(executor, "shard_health", None)
-        if callable(shard_health):
-            payload["shards"] = shard_health()
+        shards = executor.shard_health()
+        if shards:
+            payload["shards"] = shards
         tracer = executor.tracer
         if tracer is not None:
             payload["traces"] = {
@@ -370,17 +370,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         from repro.text.document import Document
 
-        executor = self.server.executor
-        ingest = getattr(executor, "ingest", None)
         try:
-            if ingest is not None:
-                generation = ingest(Document(doc_id, text))
-            else:
-                def add(system) -> int:
-                    system.add(Document(doc_id, text))
-                    return system.index_generation
-
-                generation = executor.apply(add)
+            generation = self.server.executor.ingest(Document(doc_id, text))
         except ValueError as exc:
             self._send_error_json(409, "duplicate_document", str(exc))
         except RuntimeError as exc:
@@ -391,10 +382,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_mutation_error(self, exc: RuntimeError) -> None:
         """Cluster front ends reject mutations (shards own their corpus
         slices): a structured 501 instead of a masked 500."""
-        try:
-            from repro.cluster import ClusterMutationError
-        except ImportError:  # pragma: no cover - cluster always ships
-            ClusterMutationError = ()  # type: ignore[assignment]
+        from repro.cluster import ClusterMutationError
+
         if isinstance(exc, ClusterMutationError):
             self._send_error_json(501, "mutations_unsupported", str(exc))
         else:

@@ -51,13 +51,6 @@ class TestQueryPath:
         assert response.shards_failed == 0
         assert response.generation == system.index_generation
 
-    def test_second_ask_is_cached(self, cluster):
-        first = cluster.ask("marketing, partnership", top_k=3)
-        second = cluster.ask("marketing, partnership", top_k=3)
-        assert not first.cached
-        assert second.cached
-        assert list(second.results) == list(first.results)
-
     def test_scoring_presets_accepted(self, system, cluster):
         from repro.service.executor import SCORING_PRESETS
 
@@ -128,15 +121,6 @@ class TestLifecycle:
 
 
 class TestHealth:
-    def test_health_shape(self, cluster):
-        health = cluster.health()
-        assert health["status"] == "ok"
-        assert health["ready"] is True
-        assert health["workers"]["configured"] == 2
-        assert health["workers"]["alive"] == 2
-        assert len(health["shards"]) == 2
-        assert health["open_breakers"] == []
-
     def test_shard_health_reports_topology(self, cluster):
         shards = cluster.shard_health()
         assert [entry["shard"] for entry in shards] == [0, 1]
