@@ -33,7 +33,7 @@ from repro.core.kernels.columnar import STATS, kernels_enabled
 from repro.core.match import MatchList
 from repro.core.query import Query
 from repro.core.scoring.presets import trec_max, trec_med, trec_win
-from repro.retrieval.ranking import rank_match_lists
+from repro.retrieval.instrumentation import collect_join_stats
 from repro.retrieval.topk_retrieval import rank_top_k
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -152,20 +152,21 @@ def topk_bound_proof(rng: random.Random, *, num_docs: int = 200, k: int = 5):
     cold = rank_top_k(docs, query, scoring, k)
     cold_lowerings = STATS.lowerings
     STATS.reset()
-    warm = rank_top_k(docs, query, scoring, k)
+    with collect_join_stats() as stats:
+        warm = rank_top_k(docs, query, scoring, k)
     warm_lowerings = STATS.lowerings
-    assert warm.ranked == cold.ranked
-    assert warm.ranked == rank_match_lists(docs, query, scoring)[:k]
+    assert warm == cold
+    assert warm == rank_top_k(docs, query, scoring)[:k]
     assert warm_lowerings == 0, "warm top-k bound rescanned a match list"
     return {
         "documents": num_docs,
         "k": k,
         "cold_lowerings": cold_lowerings,
         "warm_lowerings": warm_lowerings,
-        "documents_seen": warm.documents_seen,
-        "joins_run": warm.joins_run,
-        "joins_skipped": warm.joins_skipped,
-        "bound_skip_rate": warm.joins_skipped / warm.documents_seen,
+        "documents_seen": stats.documents_scanned,
+        "joins_run": stats.joins_run,
+        "joins_skipped": stats.joins_skipped,
+        "bound_skip_rate": stats.joins_skipped / stats.documents_scanned,
     }
 
 

@@ -21,7 +21,7 @@ import pytest
 from repro.core.match import MatchList
 from repro.core.query import Query
 from repro.core.scoring.presets import trec_max
-from repro.retrieval.ranking import rank_match_lists
+from repro.retrieval.instrumentation import collect_join_stats
 from repro.retrieval.topk_retrieval import rank_top_k
 
 from conftest import save_report
@@ -63,7 +63,7 @@ def test_full_ranking(benchmark, corpus):
     scoring = trec_max()
     benchmark.group = "top-k retrieval"
     benchmark.pedantic(
-        lambda: rank_match_lists(docs, query, scoring),
+        lambda: rank_top_k(docs, query, scoring),
         rounds=1, iterations=1, warmup_rounds=1,
     )
 
@@ -76,20 +76,22 @@ def test_topk_with_skipping(benchmark, corpus):
         lambda: rank_top_k(docs, query, scoring, 10),
         rounds=1, iterations=1, warmup_rounds=1,
     )
-    full = rank_match_lists(docs, query, scoring)
-    assert [r.doc_id for r in result.ranked] == [r.doc_id for r in full[:10]]
+    with collect_join_stats() as stats:
+        assert rank_top_k(docs, query, scoring, 10) == result
+    full = rank_top_k(docs, query, scoring)
+    assert [r.doc_id for r in result] == [r.doc_id for r in full[:10]]
     save_report(
         "topk_retrieval",
         "Top-k retrieval with upper-bound skipping\n"
-        f"documents: {result.documents_seen}, joins run: {result.joins_run}, "
-        f"skipped: {result.joins_skipped} "
-        f"({result.joins_skipped / result.documents_seen:.0%})",
+        f"documents: {stats.documents_scanned}, joins run: {stats.joins_run}, "
+        f"skipped: {stats.joins_skipped} "
+        f"({stats.joins_skipped / stats.documents_scanned:.0%})",
     )
-    assert result.joins_skipped > NUM_DOCS * 0.3
+    assert stats.joins_skipped > NUM_DOCS * 0.3
 
     # Machine-readable drop: timed single passes of both loops.
     started = time.perf_counter()
-    rank_match_lists(docs, query, scoring)
+    rank_top_k(docs, query, scoring)
     full_s = time.perf_counter() - started
     started = time.perf_counter()
     rank_top_k(docs, query, scoring, 10)
@@ -100,13 +102,13 @@ def test_topk_with_skipping(benchmark, corpus):
                 "benchmark": "topk_retrieval",
                 "acceptance": {
                     "min_skip_fraction": 0.3,
-                    "skip_fraction": result.joins_skipped / result.documents_seen,
-                    "passed": result.joins_skipped > NUM_DOCS * 0.3,
+                    "skip_fraction": stats.joins_skipped / stats.documents_scanned,
+                    "passed": stats.joins_skipped > NUM_DOCS * 0.3,
                 },
                 "results": {
-                    "documents": result.documents_seen,
-                    "joins_run": result.joins_run,
-                    "joins_skipped": result.joins_skipped,
+                    "documents": stats.documents_scanned,
+                    "joins_run": stats.joins_run,
+                    "joins_skipped": stats.joins_skipped,
                     "full_ranking_s": full_s,
                     "topk_skipping_s": topk_s,
                 },

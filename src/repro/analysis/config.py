@@ -184,8 +184,8 @@ class AnalysisConfig:
             "ask",
             "ask_many",
             "extract",
-            "rank_match_lists",
             "rank_top_k",
+            "offer",
             "best_join",
             "execute",
             "phrase_positions",

@@ -61,7 +61,7 @@ from repro.obs.trace import NULL_TRACE, Span, Tracer
 from repro.reliability.breaker import CircuitBreaker
 from repro.retrieval.ranking import RankedDocument
 from repro.service.cache import ResultCache
-from repro.service.executor import QueryExecutor, _Request
+from repro.service.executor import QueryExecutor, ShutdownDrained, _Request
 from repro.service.metrics import ServiceMetrics
 from repro.system import SearchSystem
 
@@ -75,6 +75,10 @@ __all__ = [
 
 class ShardError(RuntimeError):
     """One shard RPC failed (dead worker, transport loss, timeout)."""
+
+
+class _ShardClosed(ShardError):
+    """Shutdown closed the shard's handle: no shard fault, no breaker hit."""
 
 
 class ShardsUnavailable(RuntimeError):
@@ -193,7 +197,7 @@ class _ShardHandle:
         """Enqueue one RPC for the I/O thread (never blocks)."""
         with self._lock:
             if self._closed:
-                raise ShardError(f"shard {self.shard_id} is shut down")
+                raise _ShardClosed(f"shard {self.shard_id} is shut down")
             self._calls.put_nowait(call)
 
     def respawn(self) -> bool:
@@ -227,7 +231,7 @@ class _ShardHandle:
             thread = self._thread
         calls.put_nowait(_STOP)
         thread.join(timeout_s)
-        self._drain_calls(calls, ShardError(f"shard {self.shard_id} is shut down"))
+        self._drain_calls(calls, _ShardClosed(f"shard {self.shard_id} is shut down"))
         try:
             conn.send({"op": "shutdown", "id": -1})
         # repro: ignore[except-swallowed] a dead worker cannot ack; the
@@ -626,19 +630,28 @@ class ClusterExecutor(QueryExecutor):
         Every request goes to every admitting shard before any reply is
         awaited.  A shard that fails or is breaker-skipped only shrinks
         the merge, and the answer is partial (``shards_failed``).  A
-        request that every shard failed, or that a shard rejected as a
-        bad query, is failed here and gets ``None``.
+        request that every shard failed, that a shard rejected as a bad
+        query, or that outlived the drain budget (shutdown closed a
+        shard under it) is failed here and gets ``None``.
         """
         started = time.perf_counter()
         scattered = [self._scatter(request, avoid_duplicates) for request in group]
         rankings: list[list[RankedDocument] | None] = []
         for request, (scatter_span, calls, skipped) in zip(group, scattered):
-            streams, failed, client_error = self._gather(
+            streams, failed, closed, client_error = self._gather(
                 request, scatter_span, calls, skipped
             )
             request.join_s = time.perf_counter() - started
             if client_error is not None:
                 self._fail(request, client_error, "error")
+                rankings.append(None)
+                continue
+            if closed:
+                self._fail(
+                    request,
+                    ShutdownDrained("executor shut down during execution"),
+                    "shed",
+                )
                 rankings.append(None)
                 continue
             if not streams:
@@ -688,7 +701,8 @@ class ClusterExecutor(QueryExecutor):
         self, request: _Request, avoid_duplicates: bool
     ) -> tuple[Span | Any, list[_ShardCall], int]:
         """Send one request to every admitting shard; returns its
-        ``scatter`` span, the calls in flight, and the shards skipped."""
+        ``scatter`` span, the calls in flight, and the shards its
+        breaker skipped."""
         scatter_span = request.trace.begin(
             "scatter", parent=request.batch_span, shards=self.num_shards
         )
@@ -727,11 +741,13 @@ class ClusterExecutor(QueryExecutor):
             )
             try:
                 handle.submit(call)
-            except ShardError as exc:
-                span.set_tags(outcome="error", error=str(exc)).finish()
-                skipped += 1
-                continue
-            self.metrics.increment("shard_requests")
+            except _ShardClosed as exc:
+                # Closed by shutdown: the gather counts the failed call
+                # as closed, not as breaker-skipped.
+                span.set_tag("outcome", "shutdown").finish()
+                call.future.set_exception(exc)
+            else:
+                self.metrics.increment("shard_requests")
             calls.append(call)
         return scatter_span, calls, skipped
 
@@ -741,12 +757,13 @@ class ClusterExecutor(QueryExecutor):
         scatter_span: Span | Any,
         calls: list[_ShardCall],
         skipped: int,
-    ) -> tuple[list[Sequence[RankedDocument]], int, BaseException | None]:
+    ) -> tuple[list[Sequence[RankedDocument]], int, int, BaseException | None]:
         """Wait for one request's shard replies: the k-best streams of
-        the shards that answered, how many failed, and a client error
-        (bad query / bad parameters) if a shard reported one."""
+        the shards that answered, how many failed, how many shutdown
+        closed, and a client error (bad query / bad parameters) if a
+        shard reported one."""
         streams: list[Sequence[RankedDocument]] = []
-        failed = 0
+        failed = closed = 0
         client_error: BaseException | None = None
         joins_run = joins_skipped = join_ns = 0
         for call in calls:
@@ -759,6 +776,9 @@ class ClusterExecutor(QueryExecutor):
                 reply = call.future.result(timeout=budget)
             except (QuerySyntaxError, ValueError) as exc:
                 client_error = exc
+                continue
+            except _ShardClosed:
+                closed += 1
                 continue
             except (ShardError, FutureTimeoutError):
                 failed += 1
@@ -777,7 +797,8 @@ class ClusterExecutor(QueryExecutor):
             answered=len(streams),
             failed=failed,
             skipped=skipped,
+            closed=closed,
             joins_run=joins_run,
             joins_skipped=joins_skipped,
         ).finish()
-        return streams, failed, client_error
+        return streams, failed, closed, client_error

@@ -32,7 +32,7 @@ from repro.experiments.runner import full_suite, proposed_suite, time_suite
 from repro.matching.dates import DateMatcher
 from repro.matching.pipeline import QueryMatcher
 from repro.retrieval.evaluation import answer_rank
-from repro.retrieval.ranking import rank_match_lists
+from repro.retrieval.topk_retrieval import rank_top_k
 
 __all__ = [
     "fig6_query_terms",
@@ -215,7 +215,7 @@ def fig12_answer_ranks(
         answer_ids = {d.doc_id for d in dataset.documents if d.is_answer}
         for family in ("MED", "MAX", "WIN"):
             scoring = suite[family]
-            ranked = rank_match_lists(
+            ranked = rank_top_k(
                 ((doc.doc_id, doc.lists) for doc in dataset.documents),
                 dataset.query,
                 scoring,

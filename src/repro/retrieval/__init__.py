@@ -1,9 +1,9 @@
 """Retrieval: ranking by best-matchset score, answer-rank evaluation, QA."""
 
-from repro.retrieval.daat import DaatResult, daat_enabled, rank_top_k_daat
+from repro.retrieval.daat import daat_enabled, rank_top_k_daat
 from repro.retrieval.evaluation import AnswerRank, answer_rank
 from repro.retrieval.fusion import FusedDocument, reciprocal_rank_fusion
-from repro.retrieval.topk_retrieval import TopKResult, rank_top_k, score_upper_bound
+from repro.retrieval.topk_retrieval import TopK, rank_top_k, score_upper_bound
 from repro.retrieval.metrics import (
     average_precision,
     mean_average_precision,
@@ -21,12 +21,11 @@ from repro.retrieval.proximity_scoring import (
     minimal_cover_windows,
 )
 from repro.retrieval.qa import AggregatedAnswer, Answer, QAEngine, aggregate_answers
-from repro.retrieval.ranking import RankedDocument, rank_documents, rank_match_lists
+from repro.retrieval.ranking import RankedDocument, rank_documents
 
 __all__ = [
     "RankedDocument",
     "rank_documents",
-    "rank_match_lists",
     "AnswerRank",
     "answer_rank",
     "Answer",
@@ -47,10 +46,9 @@ __all__ = [
     "mean_average_precision",
     "FusedDocument",
     "reciprocal_rank_fusion",
-    "TopKResult",
+    "TopK",
     "rank_top_k",
     "score_upper_bound",
-    "DaatResult",
     "daat_enabled",
     "rank_top_k_daat",
 ]

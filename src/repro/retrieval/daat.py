@@ -24,25 +24,26 @@ WAND/max-score family:
    **membership bound** (per-term best-present expansion scores, no
    match lists), then — for indexed term pairs — the tighter
    **pair-proximity bound** of :class:`~repro.index.pairs.PairIndex`.
-   Only surviving pivots get lexicon expansion, match-list
-   construction, the exact per-list bound, and the best-join.
+   Only surviving pivots get lexicon expansion and match-list
+   construction; they go to the same
+   :class:`~repro.retrieval.topk_retrieval.TopK` survivor step as the
+   scan (exact per-list bound, best-join, k-floor heap).
 
 The result is byte-identical to :func:`rank_top_k` over the same
-candidates (same scores, same reversed-id-key tie discipline); the
-bounds only decide *when* a document can be rejected, never what a
-surviving document scores.  ``REPRO_NO_DAAT=1`` disables the path
+candidates (same scores, same tie order); the bounds only decide
+*when* a document can be rejected, never what a surviving document
+scores.  ``REPRO_NO_DAAT=1`` disables the path
 everywhere (``SearchSystem._rank`` falls back to the materialize-all
 pipeline) — the escape hatch the differential tests toggle.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-import time
-from dataclasses import dataclass
 
-from repro.core.api import best_matchset
+# wpbench's tracer (LAYERS in wpbench/tracer.py) patches this name in
+# this module; the join itself runs in topk_retrieval.TopK.offer.
+from repro.core.api import best_matchset  # noqa: F401
 from repro.core.errors import ScoringContractError
 from repro.core.kernels.columnar import bound_combine
 from repro.core.query import Query
@@ -56,16 +57,9 @@ from repro.index.cursors import Cursor
 from repro.index.matchlists import ConceptIndex
 from repro.index.pairs import PairIndex, PairPosting
 from repro.obs.trace import NULL_SPAN, span as obs_span
-from repro.retrieval.instrumentation import current_join_stats
-from repro.retrieval.ranking import RankedDocument
-from repro.retrieval.topk_retrieval import (
-    TopKResult,
-    _id_key,
-    prunable,
-    upper_bound_terms,
-)
+from repro.retrieval.topk_retrieval import RankedDocument, TopK, prunable
 
-__all__ = ["daat_enabled", "DaatResult", "rank_top_k_daat"]
+__all__ = ["daat_enabled", "rank_top_k_daat"]
 
 _DISABLING_VALUES = frozenset({"1", "true", "yes", "on"})
 
@@ -73,23 +67,6 @@ _DISABLING_VALUES = frozenset({"1", "true", "yes", "on"})
 def daat_enabled() -> bool:
     """True unless ``REPRO_NO_DAAT`` selects the materialize-all path."""
     return os.environ.get("REPRO_NO_DAAT", "").lower() not in _DISABLING_VALUES
-
-
-@dataclass
-class DaatResult(TopKResult):
-    """Top-k ranking plus the document-skipping statistics.
-
-    ``documents_seen`` counts aligned pivots (the conjunctive candidate
-    set actually enumerated); ``documents_pivot_skipped`` of those were
-    pruned before any match list was materialized; ``pair_index_hits``
-    counts pivots the two-term index supplied data for;
-    ``pair_bound_tightenings`` counts pivots whose pair bound was
-    strictly tighter than the membership bound.
-    """
-
-    documents_pivot_skipped: int = 0
-    pair_index_hits: int = 0
-    pair_bound_tightenings: int = 0
 
 
 def _pair_bound(
@@ -160,7 +137,7 @@ def rank_top_k_daat(
     avoid_duplicates: bool = True,
     memo: dict | None = None,
     pair_index: PairIndex | None = None,
-) -> DaatResult:
+) -> list[RankedDocument]:
     """The k best documents, traversing postings document-at-a-time.
 
     Byte-identical to running :func:`rank_top_k` over the conjunctive
@@ -170,18 +147,21 @@ def rank_top_k_daat(
 
     ``pair_index`` is consulted when its generation matches; a stale
     index is ignored rather than trusted.
+
+    Besides the survivor step's counters, the active ``JoinStats`` gets
+    ``documents_scanned`` (aligned pivots), ``documents_pivot_skipped``
+    (pivots pruned before materialization, also ``joins_skipped``),
+    ``pair_index_hits`` and ``pair_bound_tightenings``.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    top = TopK(query, scoring, k, avoid_duplicates=avoid_duplicates)
     terms = list(query)
     postings = [concepts.term_postings(t, generation) for t in terms]
-    stats = current_join_stats()
 
     with obs_span("retrieval.pivot", terms=len(terms), k=k) as sp:
         if any(len(p) == 0 for p in postings):
             # Conjunctive semantics: a term with no documents empties
             # the candidate set.
-            return DaatResult([], 0, 0)
+            return top.finish()
 
         ceilings = [p.ceiling(scoring, j) for j, p in enumerate(postings)]
         global_bound = bound_combine(scoring, sum(ceilings))
@@ -221,11 +201,8 @@ def rank_top_k_daat(
                         else:
                             pair_entries.append((jb, ja, entry))
 
-        floor: list[tuple[float, tuple[int, ...]]] = []
-        kept: dict[tuple[int, ...], RankedDocument] = {}
+        floor = top.heap
         scanned = 0
-        joins = 0
-        bound_skips = 0
         pivot_skips = 0
         pair_hits = 0
         pair_tightenings = 0
@@ -254,9 +231,9 @@ def rank_top_k_daat(
                 continue
 
             scanned += 1
-            applicable: list[tuple[int, int, PairPosting]] = []
-            if len(floor) == k:
-                weakest = floor[0]
+            skip = False
+            weakest = floor[0] if len(floor) == k else None
+            if weakest is not None:
                 if prunable(
                     global_bound, weakest, None, terms=n_terms, size=global_size
                 ):
@@ -270,20 +247,24 @@ def rank_top_k_daat(
                     size += abs(contribution)
                 bound = combine(total)
                 skip = prunable(bound, weakest, doc, terms=n_terms, size=size)
-                if not skip and pair_entries:
-                    for ja, jb, entry in pair_entries:
-                        post = entry.docs.get(doc)
-                        if post is not None:
-                            applicable.append((ja, jb, post))
-                    if applicable:
-                        pair_hits += 1
+            applicable: list[tuple[int, int, PairPosting]] = []
+            if not skip and pair_entries:
+                for ja, jb, entry in pair_entries:
+                    post = entry.docs.get(doc)
+                    if post is not None:
+                        applicable.append((ja, jb, post))
+                # Before the floor is full the pair data cannot prune,
+                # but its pre-joined lists still serve materialization.
+                if applicable:
+                    pair_hits += 1
+                    if weakest is not None:
                         pair_bound = _pair_bound(
                             scoring, total, doc, postings, contrib_maps, applicable
                         )
                         if pair_bound < bound:
                             pair_tightenings += 1
-                        # WIN's f(Σg, δ) and MAX's cap bound the score term
-                        # by term; MED's f(Σg − δ) does not.
+                        # WIN's f(Σg, δ) and MAX's cap bound the score
+                        # term by term; MED's f(Σg − δ) does not.
                         skip = prunable(
                             pair_bound,
                             weakest,
@@ -292,22 +273,12 @@ def rank_top_k_daat(
                             size=size,
                             termwise=not isinstance(scoring, MedScoring),
                         )
-                if skip:
-                    pivot_skips += 1
-                    bound_skips += 1
-                    doc = lead.advance()
-                    continue
-            elif pair_entries:
-                # Floor not full yet: the pair data cannot prune, but
-                # its pre-joined lists still serve materialization.
-                for ja, jb, entry in pair_entries:
-                    post = entry.docs.get(doc)
-                    if post is not None:
-                        applicable.append((ja, jb, post))
-                if applicable:
-                    pair_hits += 1
+            if skip:
+                pivot_skips += 1
+                doc = lead.advance()
+                continue
 
-            # -- surviving pivot: materialize + exact bound + join -------
+            # -- surviving pivot: materialize, then the shared step -----
             doc_memo = memo
             if applicable:
                 if doc_memo is None:
@@ -315,66 +286,24 @@ def rank_top_k_daat(
                 for ja, jb, post in applicable:
                     doc_memo.setdefault((terms[ja], doc), post.list_a)
                     doc_memo.setdefault((terms[jb], doc), post.list_b)
-            lists = concepts.match_lists(
-                terms, doc, memo=doc_memo, generation=generation
+            top.offer(
+                doc,
+                concepts.match_lists(terms, doc, memo=doc_memo, generation=generation),
             )
-            if len(floor) == k:
-                exact_bound, size = upper_bound_terms(scoring, lists)
-                if prunable(exact_bound, floor[0], doc, terms=n_terms, size=size):
-                    bound_skips += 1
-                    doc = lead.advance()
-                    continue
-            joins += 1
-            if stats is None:
-                result = best_matchset(
-                    query, lists, scoring, avoid_duplicates=avoid_duplicates
-                )
-            else:
-                started = time.perf_counter_ns()
-                result = best_matchset(
-                    query, lists, scoring, avoid_duplicates=avoid_duplicates
-                )
-                stats.join_ns += time.perf_counter_ns() - started
-            if result:
-                assert result.matchset is not None and result.score is not None
-                key = _id_key(doc)
-                entry = (result.score, key)
-                if len(floor) < k:
-                    heapq.heappush(floor, entry)
-                    kept[key] = RankedDocument(
-                        doc, result.score, result.matchset, result.invocations
-                    )
-                elif entry > floor[0]:
-                    _old_score, old_key = heapq.heapreplace(floor, entry)
-                    del kept[old_key]
-                    kept[key] = RankedDocument(
-                        doc, result.score, result.matchset, result.invocations
-                    )
             doc = lead.advance()
 
-        if stats is not None:
-            stats.joins_run += joins
-            stats.joins_skipped += bound_skips
-            stats.dedup_invocations += sum(r.invocations for r in kept.values())
-            stats.documents_scanned += scanned
-            stats.documents_pivot_skipped += pivot_skips
-            stats.pair_index_hits += pair_hits
-            stats.pair_bound_tightenings += pair_tightenings
+        stats = top.stats
+        stats.documents_scanned += scanned
+        stats.documents_pivot_skipped += pivot_skips
+        stats.joins_skipped += pivot_skips
+        stats.pair_index_hits += pair_hits
+        stats.pair_bound_tightenings += pair_tightenings
         if sp is not NULL_SPAN:
             sp.set_tags(
                 documents_scanned=scanned,
                 documents_pivot_skipped=pivot_skips,
                 pair_index_hits=pair_hits,
                 pair_bound_tightenings=pair_tightenings,
-                joins_run=joins,
+                joins_run=stats.joins_run,
             )
-
-        ranked = sorted(kept.values(), key=lambda r: (-r.score, r.doc_id))
-        return DaatResult(
-            ranked,
-            scanned,
-            joins,
-            documents_pivot_skipped=pivot_skips,
-            pair_index_hits=pair_hits,
-            pair_bound_tightenings=pair_tightenings,
-        )
+        return top.finish()

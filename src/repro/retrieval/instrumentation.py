@@ -1,24 +1,25 @@
 """Thread-local join instrumentation for the retrieval layer.
 
-The ranking loops (:func:`repro.retrieval.ranking.rank_match_lists`,
-:func:`repro.retrieval.topk_retrieval.rank_top_k`) are the hot path of
-the serving stack; this module lets a caller observe them without
-changing their signatures or paying overhead when nobody is watching.
+The ranking loop is the hot path of the serving stack: one survivor
+step, :class:`repro.retrieval.topk_retrieval.TopK`, fed either by the
+scan over materialized candidates
+(:func:`~repro.retrieval.topk_retrieval.rank_top_k`) or by the DAAT
+cursor loop (:func:`~repro.retrieval.daat.rank_top_k_daat`).  This
+module lets a caller observe it without changing its signatures.
 
 :func:`collect_join_stats` installs a :class:`JoinStats` collector for
-the current thread; while it is active, the ranking loops add to it
+the current thread; when a ranking loop finishes, it adds to it once
 
 * ``joins_run`` — best-joins actually executed,
-* ``joins_skipped`` — candidate documents pruned by the upper-bound
-  test in :func:`~repro.retrieval.topk_retrieval.rank_top_k` without
-  running a join (the WAND-style skip; empty-list documents count as
-  neither),
+* ``joins_skipped`` — candidate documents pruned by an upper-bound
+  test without running a join (the WAND-style skip; empty-list
+  documents count as neither),
 * ``join_ns`` — wall-clock nanoseconds spent inside best-join calls,
 * ``dedup_invocations`` — best-join invocations behind the kept
   results, counting the duplicate-elimination restarts of Section VI
   (``RankedDocument.invocations`` summed over kept documents),
-* ``documents_scanned`` — candidate documents enumerated by the DAAT
-  cursor loop (:mod:`repro.retrieval.daat`),
+* ``documents_scanned`` — candidate documents enumerated: every
+  document of the scanned stream, or every aligned DAAT pivot,
 * ``documents_pivot_skipped`` — pivot documents pruned by the
   membership/pair bounds *before* match-list materialization,
 * ``pair_index_hits`` — candidate documents the two-term proximity
@@ -63,8 +64,9 @@ class JoinStats:
         # including the Section VI duplicate-elimination restarts
         # (``RankedDocument.invocations`` summed over kept documents).
         self.dedup_invocations = 0
-        # DAAT retrieval-path counters (zero on the materialize-all path).
+        # Candidates enumerated (scan: every document; DAAT: aligned pivots).
         self.documents_scanned = 0
+        # DAAT retrieval-path counters (zero on the scan path).
         self.documents_pivot_skipped = 0
         self.pair_index_hits = 0
         # Pivots whose pair-proximity bound came in strictly below the

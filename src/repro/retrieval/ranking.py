@@ -4,88 +4,24 @@ The paper ranks documents "by their overall best matchset scores" (TREC
 experiment).  :func:`rank_documents` runs the per-document best-join over
 a corpus and returns documents in descending score order, carrying each
 document's best matchset so callers can show *why* a document ranked
-where it did (the extracted answer).
+where it did (the extracted answer).  The ranking loop itself is
+:func:`repro.retrieval.topk_retrieval.rank_top_k`.
 """
 
 from __future__ import annotations
 
-import heapq
-import time
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.core.algorithms.base import JoinResult
-from repro.core.api import best_matchset
-from repro.retrieval.instrumentation import current_join_stats
-from repro.core.match import MatchList
-from repro.core.matchset import MatchSet
+# wpbench's tracer (LAYERS in wpbench/tracer.py) patches this name in
+# this module; the join itself runs in topk_retrieval.TopK.offer.
+from repro.core.api import best_matchset  # noqa: F401
 from repro.core.query import Query
 from repro.core.scoring.base import ScoringFunction
 from repro.matching.pipeline import QueryMatcher
+from repro.retrieval.topk_retrieval import RankedDocument, rank_top_k
 from repro.text.document import Corpus, Document
 
-__all__ = ["RankedDocument", "rank_documents", "rank_match_lists"]
-
-
-@dataclass(frozen=True, slots=True)
-class RankedDocument:
-    """One ranked document: its best matchset and score."""
-
-    doc_id: str
-    score: float
-    matchset: MatchSet
-    invocations: int = 1
-
-
-def rank_match_lists(
-    per_document_lists: Iterable[tuple[str, Sequence[MatchList]]],
-    query: Query,
-    scoring: ScoringFunction,
-    *,
-    avoid_duplicates: bool = True,
-    top_k: int | None = None,
-) -> list[RankedDocument]:
-    """Rank pre-computed per-document match lists.
-
-    ``per_document_lists`` yields ``(doc_id, match_lists)`` pairs;
-    documents with no complete (or no valid) matchset are dropped.
-    Results are sorted by descending score, doc id breaking ties for
-    determinism.
-
-    ``top_k`` keeps only the best *k* documents via a heap select
-    instead of a full sort — the ``(-score, doc_id)`` key is a total
-    order, so the result is exactly the first *k* of the full ranking.
-    ``top_k`` must be positive when given (matching ``rank_top_k``).
-    """
-    if top_k is not None and top_k <= 0:
-        raise ValueError(f"top_k must be positive, got {top_k}")
-    stats = current_join_stats()
-    ranked: list[RankedDocument] = []
-    for doc_id, lists in per_document_lists:
-        if stats is None:
-            result: JoinResult = best_matchset(
-                query, lists, scoring, avoid_duplicates=avoid_duplicates
-            )
-        else:
-            if all(len(lst) > 0 for lst in lists):
-                stats.joins_run += 1
-            started = time.perf_counter_ns()
-            result = best_matchset(
-                query, lists, scoring, avoid_duplicates=avoid_duplicates
-            )
-            stats.join_ns += time.perf_counter_ns() - started
-        if result:
-            assert result.matchset is not None and result.score is not None
-            if stats is not None:
-                stats.dedup_invocations += result.invocations
-            ranked.append(
-                RankedDocument(doc_id, result.score, result.matchset, result.invocations)
-            )
-    key = lambda r: (-r.score, r.doc_id)
-    if top_k is not None and top_k < len(ranked):
-        return heapq.nsmallest(top_k, ranked, key=key)
-    ranked.sort(key=key)
-    return ranked
+__all__ = ["RankedDocument", "rank_documents"]
 
 
 def rank_documents(
@@ -98,7 +34,7 @@ def rank_documents(
 ) -> list[RankedDocument]:
     """Match + join + rank a corpus for one query."""
     matcher = matcher or QueryMatcher(query)
-    return rank_match_lists(
+    return rank_top_k(
         ((doc.doc_id, matcher.match_lists(doc)) for doc in corpus),
         query,
         scoring,

@@ -1,4 +1,4 @@
-"""Top-k document retrieval with upper-bound skipping.
+"""The ranking loop: top-k document retrieval with upper-bound skipping.
 
 Ranking a large corpus runs one best-join per document; most documents
 cannot possibly reach the current top-k floor, and a cheap *upper bound*
@@ -11,10 +11,14 @@ distance penalty is non-negative and its combiner monotone), so:
 * MED:  ``f(Σ_j max_m g_j(score(m)))``
 * MAX:  ``f(Σ_j max_m g_j(score(m), 0))``
 
-:func:`rank_top_k` is the WAND-flavoured document-at-a-time loop: keep a
-k-floor heap, skip every document whose bound is below the floor.  The
-result equals the top k of the full ranking (ties broken identically);
-the returned statistics report how many joins the bound avoided.
+:class:`TopK` is the one survivor step of every ranking loop: it keeps
+a k-floor heap and skips every document whose bound is below the floor
+— the threshold-and-stop rule of Fagin, Lotem and Naor's threshold
+algorithm.  :func:`rank_top_k` feeds it every candidate of a
+materialized stream (``k=None`` ranks them all);
+:func:`repro.retrieval.daat.rank_top_k_daat` feeds it the documents its
+cursor bounds could not rule out.  The result equals the top k of the
+full ranking (ties broken identically).
 """
 
 from __future__ import annotations
@@ -34,12 +38,24 @@ from repro.core.kernels.columnar import (
     lower,
 )
 from repro.core.match import MatchList
+from repro.core.matchset import MatchSet
 from repro.core.query import Query
-from repro.core.scoring.base import ScoringFunction
-from repro.retrieval.instrumentation import current_join_stats
-from repro.retrieval.ranking import RankedDocument
+from repro.core.scoring.base import (
+    MaxScoring,
+    MedScoring,
+    ScoringFunction,
+    WinScoring,
+)
+from repro.retrieval.instrumentation import JoinStats, current_join_stats
 
-__all__ = ["prunable", "score_upper_bound", "TopKResult", "rank_top_k"]
+__all__ = [
+    "RankedDocument",
+    "TopK",
+    "boundable",
+    "prunable",
+    "rank_top_k",
+    "score_upper_bound",
+]
 
 #: Machine epsilon of IEEE-754 doubles (``2 · u``); see :func:`prunable`.
 _EPS = sys.float_info.epsilon
@@ -168,96 +184,139 @@ def _id_key(doc_id: str) -> tuple[int, ...]:
     """Reverse-lexicographic doc-id key for the floor heap.
 
     Reversed so the heap evicts the tie with the *largest* doc id first
-    (output prefers smaller ids on ties).  Module-level — shared by
-    :func:`rank_top_k` and the DAAT loop (:mod:`repro.retrieval.daat`),
-    and computed at most once per surviving document.
+    (output prefers smaller ids on ties).  The terminator 256 sorts above
+    every reversed byte, so a prefix (``d1``) outranks its extensions
+    (``d10``) exactly as ``str`` order does.
     """
-    return tuple(255 - b for b in doc_id.encode())
+    return (*(255 - b for b in doc_id.encode()), 256)
 
 
-@dataclass
-class TopKResult:
-    """Top-k ranking plus the skipping statistics."""
+def boundable(scoring: ScoringFunction) -> bool:
+    """Whether the upper bounds apply: the WIN/MED/MAX families."""
+    return isinstance(scoring, (WinScoring, MedScoring, MaxScoring))
 
-    ranked: list[RankedDocument]
-    documents_seen: int
-    joins_run: int
 
-    @property
-    def joins_skipped(self) -> int:
-        return self.documents_seen - self.joins_run
+@dataclass(frozen=True, slots=True)
+class RankedDocument:
+    """One ranked document: its best matchset and score."""
+
+    doc_id: str
+    score: float
+    matchset: MatchSet
+    invocations: int = 1
+
+
+class TopK:
+    """The survivor step every ranking loop shares: bound, join, keep.
+
+    A loop hands each candidate document to :meth:`offer`; once ``k``
+    documents are kept (and the scoring is :func:`boundable`), a
+    document whose exact per-list bound is :func:`prunable` against the
+    weakest kept entry is skipped without a join.  ``k=None`` keeps
+    every document.  :meth:`finish` folds the loop's counters into the
+    active :class:`~repro.retrieval.instrumentation.JoinStats` once and
+    returns the kept documents in ``(-score, doc_id)`` order — exactly
+    the first ``k`` of the full ranking.
+
+    ``heap`` holds ``(score, _id_key(doc_id))`` so its smallest element
+    is the weakest kept document; ``kept`` is keyed by the same key, so
+    an eviction is one dict delete.  ``stats`` is this loop's own
+    record; the DAAT loop adds its traversal counters to it.
+    """
+
+    __slots__ = (
+        "query",
+        "scoring",
+        "k",
+        "avoid_duplicates",
+        "bounded",
+        "heap",
+        "kept",
+        "stats",
+    )
+
+    def __init__(
+        self,
+        query: Query,
+        scoring: ScoringFunction,
+        k: int | None = None,
+        *,
+        avoid_duplicates: bool = True,
+    ) -> None:
+        if k is not None and k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        self.query = query
+        self.scoring = scoring
+        self.k = k
+        self.avoid_duplicates = avoid_duplicates
+        self.bounded = boundable(scoring)
+        self.heap: list[tuple[float, tuple[int, ...]]] = []
+        self.kept: dict[tuple[int, ...], RankedDocument] = {}
+        self.stats = JoinStats()
+
+    def offer(self, doc_id: str, lists: Sequence[MatchList]) -> None:
+        """Bound, join and maybe keep one candidate document."""
+        if not all(lists):
+            return  # some term has no match: no matchset exists
+        heap = self.heap
+        stats = self.stats
+        full = len(heap) == self.k
+        if full and self.bounded:
+            bound, size = upper_bound_terms(self.scoring, lists)
+            if prunable(bound, heap[0], doc_id, terms=len(lists), size=size):
+                stats.joins_skipped += 1
+                return  # provably outside the top k
+        stats.joins_run += 1
+        started = time.perf_counter_ns()
+        result = best_matchset(
+            self.query, lists, self.scoring, avoid_duplicates=self.avoid_duplicates
+        )
+        stats.join_ns += time.perf_counter_ns() - started
+        if not result:
+            return
+        assert result.matchset is not None and result.score is not None
+        key = _id_key(doc_id)
+        entry = (result.score, key)
+        if not full:
+            heapq.heappush(heap, entry)
+        elif entry > heap[0]:
+            del self.kept[heapq.heapreplace(heap, entry)[1]]
+        else:
+            return
+        self.kept[key] = RankedDocument(
+            doc_id, result.score, result.matchset, result.invocations
+        )
+
+    def finish(self) -> list[RankedDocument]:
+        """The kept documents, best first; folds ``stats`` once."""
+        kept = self.kept.values()
+        self.stats.dedup_invocations += sum(r.invocations for r in kept)
+        outer = current_join_stats()
+        if outer is not None:
+            outer.add(self.stats)
+        return sorted(kept, key=lambda r: (-r.score, r.doc_id))
 
 
 def rank_top_k(
     per_document_lists: Iterable[tuple[str, Sequence[MatchList]]],
     query: Query,
     scoring: ScoringFunction,
-    k: int,
+    k: int | None = None,
     *,
     avoid_duplicates: bool = True,
-) -> TopKResult:
-    """The k best documents, skipping joins the upper bound rules out.
+) -> list[RankedDocument]:
+    """Rank pre-computed per-document match lists; the k best, or all.
 
-    Equivalent to ``rank_match_lists(...)[:k]`` (same scores, same
-    deterministic tie order), typically running far fewer joins once the
-    floor is established.
+    ``per_document_lists`` yields ``(doc_id, match_lists)`` pairs;
+    documents with no complete (or no valid) matchset are dropped.
+    Results are sorted by descending score, doc id breaking ties.  With
+    a ``k`` the bound skips joins that cannot reach the k-floor, and
+    the result is exactly the first ``k`` of the full ranking.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    # Floor heap holds (score, reversed doc-id key) so that the heap's
-    # smallest element is the currently weakest kept document under the
-    # (-score, doc_id) output order.  ``kept`` is keyed by the same
-    # reversed key, so evicting the heap's victim is one dict delete
-    # instead of an O(k) scan.
-    floor: list[tuple[float, tuple[int, ...]]] = []
-    kept: dict[tuple[int, ...], RankedDocument] = {}
-    seen = 0
-    joins = 0
-    bound_skips = 0
-    stats = current_join_stats()
-
-    terms = len(query)
+    top = TopK(query, scoring, k, avoid_duplicates=avoid_duplicates)
+    scanned = 0
     for doc_id, lists in per_document_lists:
-        seen += 1
-        if any(len(lst) == 0 for lst in lists):
-            continue
-        if len(floor) == k:
-            bound, size = upper_bound_terms(scoring, lists)
-            if prunable(bound, floor[0], doc_id, terms=terms, size=size):
-                bound_skips += 1
-                continue  # provably outside the top k
-        joins += 1
-        if stats is None:
-            result = best_matchset(
-                query, lists, scoring, avoid_duplicates=avoid_duplicates
-            )
-        else:
-            started = time.perf_counter_ns()
-            result = best_matchset(
-                query, lists, scoring, avoid_duplicates=avoid_duplicates
-            )
-            stats.join_ns += time.perf_counter_ns() - started
-        if not result:
-            continue
-        assert result.matchset is not None and result.score is not None
-        key = _id_key(doc_id)
-        entry = (result.score, key)
-        if len(floor) < k:
-            heapq.heappush(floor, entry)
-            kept[key] = RankedDocument(
-                doc_id, result.score, result.matchset, result.invocations
-            )
-        elif entry > floor[0]:
-            _old_score, old_key = heapq.heapreplace(floor, entry)
-            del kept[old_key]
-            kept[key] = RankedDocument(
-                doc_id, result.score, result.matchset, result.invocations
-            )
-
-    if stats is not None:
-        stats.joins_run += joins
-        stats.joins_skipped += bound_skips
-        stats.dedup_invocations += sum(r.invocations for r in kept.values())
-
-    ranked = sorted(kept.values(), key=lambda r: (-r.score, r.doc_id))
-    return TopKResult(ranked, seen, joins)
+        scanned += 1
+        top.offer(doc_id, lists)
+    top.stats.documents_scanned += scanned
+    return top.finish()

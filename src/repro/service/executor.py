@@ -95,7 +95,7 @@ class QueryRejected(RuntimeError):
 
 
 class ShutdownDrained(QueryRejected):
-    """The executor shut down before this queued request could run."""
+    """The executor shut down before this request could be served."""
 
 
 class DeadlineExceeded(TimeoutError):
@@ -956,7 +956,10 @@ class QueryExecutor:
         group, or ``None`` for a request the step has already failed.
 
         Locally the group runs through one :meth:`SearchSystem.ask_many`
-        call, retrying transient exact failures.
+        call, retrying transient exact failures.  A malformed request
+        (bad query, bad ``top_k``) fails that call for the whole group,
+        so the group is then run one request at a time: only the bad
+        request fails, and gets ``None``.  Alone, it raises.
 
         Every request in the group gets its own ``join`` span (same
         wall-clock interval — the join is shared across the batch), and
@@ -1051,14 +1054,29 @@ class QueryExecutor:
                     trace_id=group[0].trace.trace_id or None,
                 )
 
-        if not avoid_duplicates:
-            return attempt()
-        return call_with_retry(
-            attempt,
-            self.retry_policy,
-            retry_on=(TransientFault,),
-            on_retry=on_retry,
-        )
+        try:
+            if not avoid_duplicates:
+                return attempt()
+            return call_with_retry(
+                attempt,
+                self.retry_policy,
+                retry_on=(TransientFault,),
+                on_retry=on_retry,
+            )
+        except (QuerySyntaxError, ValueError):
+            if len(group) == 1:
+                raise
+        rankings: list[list[RankedDocument] | None] = []
+        for request in group:
+            try:
+                rankings += self._run_join(
+                    [request], avoid_duplicates=avoid_duplicates
+                )
+            except (QuerySyntaxError, ValueError) as exc:
+                self.metrics.increment("errors_total")
+                self._fail(request, exc, "error")
+                rankings.append(None)
+        return rankings
 
     def _deliver(
         self,
@@ -1224,7 +1242,13 @@ class QueryExecutor:
                         request.trace.root.set_tag("degraded_by", "join_failure")
                     degraded.extend(to_run)
                 else:
-                    breaker.record_success()
+                    if any(ranking is not None for ranking in rankings):
+                        breaker.record_success()
+                    else:
+                        # The step failed every request itself (bad
+                        # queries, no shard answering): nothing learnt
+                        # about the join path.
+                        breaker.abandon_probe()
                     self._deliver(to_run, rankings, generation, exact=True)
 
             if degraded:

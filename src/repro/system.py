@@ -24,12 +24,7 @@ from typing import Iterable, Sequence
 
 from repro.core.io import SerializationError
 from repro.core.query import Query
-from repro.core.scoring.base import (
-    MaxScoring,
-    MedScoring,
-    ScoringFunction,
-    WinScoring,
-)
+from repro.core.scoring.base import ScoringFunction
 from repro.core.scoring.presets import trec_max
 from repro.extraction.extractor import Extraction, MatchsetExtractor
 from repro.index.inverted import InvertedIndex
@@ -51,8 +46,7 @@ from repro.obs.trace import (
 from repro.retrieval.instrumentation import collect_join_stats
 from repro.reliability.snapshot import read_snapshot, write_snapshot
 from repro.retrieval.daat import daat_enabled, rank_top_k_daat
-from repro.retrieval.ranking import RankedDocument, rank_match_lists
-from repro.retrieval.topk_retrieval import rank_top_k
+from repro.retrieval.topk_retrieval import RankedDocument, boundable, rank_top_k
 from repro.text.document import Corpus, Document
 
 __all__ = ["EXPLAIN_VERSION", "SearchSystem"]
@@ -268,6 +262,20 @@ class SearchSystem:
             for doc in self.corpus:
                 yield doc.doc_id, matcher.match_lists(doc)
 
+    @staticmethod
+    def _uses_daat(
+        matcher: QueryMatcher | None, scoring: ScoringFunction, top_k: int | None
+    ) -> bool:
+        """Whether the DAAT cursor loop ranks this query: it needs a
+        ``top_k``, the offline path, a boundable scoring family, and
+        ``REPRO_NO_DAAT`` unset (read per call)."""
+        return (
+            top_k is not None
+            and matcher is None
+            and boundable(scoring)
+            and daat_enabled()
+        )
+
     def _rank(
         self,
         query: Query,
@@ -278,63 +286,47 @@ class SearchSystem:
         avoid_duplicates: bool,
         memo: dict | None = None,
     ) -> list[RankedDocument]:
-        """Rank one planned query, bound-skipping when top_k allows it.
+        """Rank one planned query through the one ranking loop.
 
-        With a ``top_k`` and a boundable scoring family the offline path
-        runs the DAAT max-score loop (:func:`rank_top_k_daat`): per-term
-        cursors are aligned on conjunctive pivots and documents whose
-        membership/pair bounds cannot beat the current k-floor are never
-        materialized at all.  ``REPRO_NO_DAAT=1`` (or an online matcher)
-        falls back to the materialize-all stream through the WAND-style
-        :func:`rank_top_k`.  All paths are provably identical to the
-        heap-select in :func:`rank_match_lists` (same scores, same tie
-        order).
+        Where :meth:`_uses_daat` allows, the DAAT max-score loop
+        (:func:`rank_top_k_daat`) aligns per-term cursors on conjunctive
+        pivots and never materializes documents whose membership/pair
+        bounds cannot beat the current k-floor.  Otherwise
+        :func:`rank_top_k` scans the materialized candidate stream.
+        Both hand every surviving document to the same
+        :class:`~repro.retrieval.topk_retrieval.TopK` step, so they
+        return the same scores in the same tie order.
         """
-        bounded = isinstance(scoring, (WinScoring, MedScoring, MaxScoring))
-        wants_top_k = top_k is not None and top_k > 0 and bounded
-        use_daat = wants_top_k and matcher is None and daat_enabled()
-
-        def run_daat() -> list[RankedDocument]:
-            pair_index = self._pair_index
-            assert top_k is not None
-            return rank_top_k_daat(
-                self._concepts,
-                query,
-                scoring,
-                top_k,
-                generation=self.index_generation,
-                avoid_duplicates=avoid_duplicates,
-                memo=memo,
-                pair_index=pair_index,
-            ).ranked
-
-        def run(source) -> list[RankedDocument]:
-            if wants_top_k:
-                return rank_top_k(
-                    source, query, scoring, top_k, avoid_duplicates=avoid_duplicates
-                ).ranked
-            return rank_match_lists(
-                source, query, scoring, avoid_duplicates=avoid_duplicates, top_k=top_k
-            )
-
+        daat = self._uses_daat(matcher, scoring, top_k)
         with obs_span(
             "rank",
             scoring=type(scoring).__name__,
             top_k=top_k,
             avoid_duplicates=avoid_duplicates,
-            bounded=bounded,
-            path="daat" if use_daat else "scan",
-        ) as sp:
-            if sp is NULL_SPAN:
-                if use_daat:
-                    return run_daat()
-                return run(self._per_document_lists(query, matcher, memo=memo))
-            if use_daat:
-                # The DAAT loop reports its own traversal counters; the
-                # per-term position tally only exists where lists are
-                # materialized for every candidate.
-                with collect_join_stats() as stats:
-                    ranked = run_daat()
+            bounded=boundable(scoring),
+            path="daat" if daat else "scan",
+        ) as sp, collect_join_stats() as stats:
+            if daat:
+                assert top_k is not None
+                ranked = rank_top_k_daat(
+                    self._concepts,
+                    query,
+                    scoring,
+                    top_k,
+                    generation=self.index_generation,
+                    avoid_duplicates=avoid_duplicates,
+                    memo=memo,
+                    pair_index=self._pair_index,
+                )
+            else:
+                ranked = rank_top_k(
+                    self._per_document_lists(query, matcher, memo=memo),
+                    query,
+                    scoring,
+                    top_k,
+                    avoid_duplicates=avoid_duplicates,
+                )
+            if sp is not NULL_SPAN:
                 sp.set_tags(
                     candidates=stats.documents_scanned,
                     joins_run=stats.joins_run,
@@ -344,38 +336,6 @@ class SearchSystem:
                     documents_pivot_skipped=stats.documents_pivot_skipped,
                     pair_index_hits=stats.pair_index_hits,
                 )
-                return ranked
-            # Recording: count candidates and per-term list sizes on the
-            # way through (the generator is consumed exactly once by the
-            # ranking loop), and scope the join counters to this span.
-            candidates = 0
-            term_positions: dict[str, int] = {}
-            term_names = [str(term) for term in query]
-
-            def counted():
-                nonlocal candidates
-                for doc_id, lists in source_iter:
-                    candidates += 1
-                    for index, lst in enumerate(lists):
-                        name = (
-                            term_names[index]
-                            if index < len(term_names)
-                            else str(index)
-                        )
-                        term_positions[name] = term_positions.get(name, 0) + len(lst)
-                    yield doc_id, lists
-
-            source_iter = self._per_document_lists(query, matcher, memo=memo)
-            with collect_join_stats() as stats:
-                ranked = run(counted())
-            sp.set_tags(
-                candidates=candidates,
-                term_positions=term_positions,
-                joins_run=stats.joins_run,
-                joins_skipped=stats.joins_skipped,
-                join_us=stats.join_ns // 1000,
-                dedup_invocations=stats.dedup_invocations,
-            )
             return ranked
 
     def ask(
@@ -495,11 +455,6 @@ class SearchSystem:
         """Assemble the EXPLAIN report (see docs/OBSERVABILITY.md)."""
         terms = [str(term) for term in query]
         offline = matcher is None
-        bounded = isinstance(scoring, (WinScoring, MedScoring, MaxScoring))
-        use_daat = (
-            top_k is not None and top_k > 0 and bounded
-            and offline and daat_enabled()
-        )
         term_rows = []
         if offline:
             for j, term in enumerate(terms):
@@ -544,7 +499,9 @@ class SearchSystem:
             "generation": generation,
             "plan": {
                 "path": "offline" if offline else "online",
-                "ranking": "daat" if use_daat else "scan",
+                "ranking": (
+                    "daat" if self._uses_daat(matcher, scoring, top_k) else "scan"
+                ),
                 "scoring": type(scoring).__name__,
                 "top_k": top_k,
                 "avoid_duplicates": avoid_duplicates,

@@ -9,8 +9,8 @@ across all three scoring families, with and without duplicate tokens,
 with and without the Section VI duplicate-free join.
 
 They also pin the :func:`rank_top_k` contract: its bound-skipping
-ranking equals ``rank_match_lists(...)[:k]`` field for field, on both
-paths.
+ranking equals the unbounded ``rank_top_k(..., k=None)[:k]`` field for
+field, on both paths.
 """
 
 import random
@@ -22,7 +22,7 @@ from repro.core.kernels import kernels_enabled
 from repro.core.match import Match, MatchList
 from repro.core.query import Query
 from repro.core.scoring.presets import trec_max, trec_med, trec_win
-from repro.retrieval.ranking import rank_match_lists
+from repro.retrieval.instrumentation import collect_join_stats
 from repro.retrieval.topk_retrieval import rank_top_k
 
 PRESETS = [
@@ -137,18 +137,21 @@ class TestTopKDifferential:
         docs = corpus_lists(rng, num_docs=40, num_terms=3)
 
         def run():
-            full = rank_match_lists(docs, query, scoring)
-            top = rank_top_k(docs, query, scoring, k)
-            return full, top
+            full = rank_top_k(docs, query, scoring)
+            with collect_join_stats() as stats:
+                top = rank_top_k(docs, query, scoring, k)
+            return full, top, stats
 
-        (full_k, top_k), (full_o, top_o) = both_paths(monkeypatch, run)
-        for full, top in ((full_k, top_k), (full_o, top_o)):
-            assert top.ranked == full[: k], "bound skipping changed the ranking"
-            assert top.documents_seen == len(docs)
-            assert top.joins_run + top.joins_skipped <= len(docs)
+        (full_k, top_k, stats_k), (full_o, top_o, stats_o) = both_paths(
+            monkeypatch, run
+        )
+        for full, top, stats in ((full_k, top_k, stats_k), (full_o, top_o, stats_o)):
+            assert top == full[: k], "bound skipping changed the ranking"
+            assert stats.documents_scanned == len(docs)
+            assert stats.joins_run + stats.joins_skipped <= len(docs)
         # And the two paths agree with each other, field for field.
         assert full_k == full_o
-        assert top_k.ranked == top_o.ranked
+        assert top_k == top_o
 
     def test_bound_actually_skips(self, monkeypatch, preset, k):
         monkeypatch.delenv("REPRO_NO_KERNELS", raising=False)
@@ -178,7 +181,8 @@ class TestTopKDifferential:
                     ],
                 )
             )
-        top = rank_top_k(docs, query, scoring, k)
-        assert top.ranked == rank_match_lists(docs, query, scoring)[: k]
+        with collect_join_stats() as stats:
+            top = rank_top_k(docs, query, scoring, k)
+        assert top == rank_top_k(docs, query, scoring)[: k]
         if k == 1:
-            assert top.joins_skipped > 0
+            assert stats.joins_skipped > 0

@@ -15,8 +15,7 @@ import pytest
 
 from repro.cluster import ClusterExecutor
 from repro.retrieval.instrumentation import collect_join_stats
-from repro.retrieval.ranking import rank_match_lists
-from repro.retrieval.topk_retrieval import score_upper_bound
+from repro.retrieval.topk_retrieval import rank_top_k, score_upper_bound
 from repro.service.executor import SCORING_PRESETS
 from repro.system import SearchSystem
 
@@ -83,11 +82,12 @@ def paired_system():
 
 
 def full_ranking(system, query_text, scoring, k):
-    """The ground truth: rank every candidate, take the first k."""
+    """The ground truth: rank every candidate (no floor, so nothing is
+    pruned), take the first k."""
     query, matcher = system._plan(query_text)
     assert matcher is None, "differential corpus must stay on the offline path"
     per_doc = system._per_document_lists(query, None)
-    return rank_match_lists(per_doc, query, scoring, top_k=k)
+    return rank_top_k(per_doc, query, scoring)[:k]
 
 
 def assert_identical(got, expected):

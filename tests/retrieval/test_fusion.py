@@ -49,7 +49,7 @@ class TestReciprocalRankFusion:
         from repro.core.match import MatchList
         from repro.core.query import Query
         from repro.core.scoring.presets import trec_max, trec_med, trec_win
-        from repro.retrieval.ranking import rank_match_lists
+        from repro.retrieval.topk_retrieval import rank_top_k
 
         query = Query.of("a", "b")
         docs = [
@@ -58,7 +58,7 @@ class TestReciprocalRankFusion:
             ("weak", [MatchList.from_pairs([(0, 0.1)]), MatchList.from_pairs([(40, 0.1)])]),
         ]
         rankings = [
-            rank_match_lists(docs, query, scoring)
+            rank_top_k(docs, query, scoring)
             for scoring in (trec_win(), trec_med(), trec_max())
         ]
         fused = reciprocal_rank_fusion(rankings)

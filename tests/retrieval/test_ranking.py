@@ -5,7 +5,8 @@ import pytest
 from repro.core.match import MatchList
 from repro.core.query import Query
 from repro.core.scoring.presets import trec_win
-from repro.retrieval.ranking import rank_documents, rank_match_lists
+from repro.retrieval.ranking import rank_documents
+from repro.retrieval.topk_retrieval import rank_top_k
 from repro.text.document import Corpus, Document
 
 
@@ -19,7 +20,7 @@ class TestRankMatchLists:
             ("loose", [MatchList.from_pairs([(0, 1.0)]), MatchList.from_pairs([(50, 1.0)])]),
             ("tight", [MatchList.from_pairs([(0, 1.0)]), MatchList.from_pairs([(1, 1.0)])]),
         ]
-        ranked = rank_match_lists(per_doc, query, trec_win())
+        ranked = rank_top_k(per_doc, query, trec_win())
         assert [r.doc_id for r in ranked] == ["tight", "loose"]
         assert ranked[0].score > ranked[1].score
 
@@ -28,20 +29,20 @@ class TestRankMatchLists:
             ("full", [MatchList.from_pairs([(0, 1.0)]), MatchList.from_pairs([(1, 1.0)])]),
             ("partial", [MatchList.from_pairs([(0, 1.0)]), MatchList()]),
         ]
-        ranked = rank_match_lists(per_doc, query, trec_win())
+        ranked = rank_top_k(per_doc, query, trec_win())
         assert [r.doc_id for r in ranked] == ["full"]
 
     def test_duplicate_avoidance_respected(self, query):
         per_doc = [
             ("dup-only", [MatchList.from_pairs([(5, 1.0)]), MatchList.from_pairs([(5, 1.0)])]),
         ]
-        assert rank_match_lists(per_doc, query, trec_win()) == []
-        relaxed = rank_match_lists(per_doc, query, trec_win(), avoid_duplicates=False)
+        assert rank_top_k(per_doc, query, trec_win()) == []
+        relaxed = rank_top_k(per_doc, query, trec_win(), avoid_duplicates=False)
         assert len(relaxed) == 1
 
     def test_ties_broken_by_doc_id(self, query):
         lists = [MatchList.from_pairs([(0, 1.0)]), MatchList.from_pairs([(1, 1.0)])]
-        ranked = rank_match_lists([("b", lists), ("a", lists)], query, trec_win())
+        ranked = rank_top_k([("b", lists), ("a", lists)], query, trec_win())
         assert [r.doc_id for r in ranked] == ["a", "b"]
 
 

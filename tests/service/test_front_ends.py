@@ -16,6 +16,7 @@ import pytest
 
 from repro.cluster import ClusterExecutor
 from repro.cluster import coordinator
+from repro.matching.queries import QuerySyntaxError
 from repro.service import (
     DeadlineExceeded,
     QueryExecutor,
@@ -115,6 +116,25 @@ class TestContract:
         finally:
             executor.shutdown()
 
+    def test_malformed_query_fails_only_itself(self, system, make):
+        executor = make(system, queue_size=8)
+        try:
+            with executor._rwlock.write():
+                first = executor.submit("alliance, olympic")
+                park_worker(executor, first)
+                # Both share "sports", so they are batched together.
+                bad = executor.submit('sports, "pc maker')
+                good = executor.submit(QUERY)
+            with pytest.raises(QuerySyntaxError):
+                bad.result(timeout=30)
+            response = good.result(timeout=30)
+            assert executor.metrics.count("batched_queries") == 2
+            assert not response.degraded
+            assert ranking_key(response.results) == ranking_key(system.ask(QUERY))
+            assert executor.health()["open_breakers"] == []
+        finally:
+            executor.shutdown()
+
     def test_repeated_ask_is_served_from_cache(self, system, make):
         with make(system) as executor:
             first = executor.ask(QUERY, top_k=3)
@@ -177,6 +197,21 @@ class TestClusterStep:
                 assert response.shards_failed == 1
             assert executor.metrics.count("cache_hits") == 0
             assert executor.metrics.count("degraded_responses") == 2
+
+    def test_request_outliving_the_drain_budget_is_shut_down(self, system):
+        executor = make_cluster(system)
+        with executor._rwlock.write():
+            first = executor.submit(QUERY)
+            park_worker(executor, first)
+            executor.shutdown(drain_timeout=0.05)
+            # Every shard process is reaped before shutdown returns.
+            assert not any(handle.alive for handle in executor._handles)
+        # The parked request then finds its shards closed: a shutdown,
+        # not a shard failure.
+        with pytest.raises(ShutdownDrained):
+            first.result(timeout=30)
+        assert executor.metrics.count("errors_total") == 0
+        assert [h.breaker.state for h in executor._handles] == ["closed"] * 2
 
     def test_term_sharing_burst_is_batched(self, system):
         queries = [QUERY, "sports, partnership", "partnership, games"]
